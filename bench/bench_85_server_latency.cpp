@@ -6,10 +6,10 @@
 // Measures the compile-server mode that removes the remaining fixed
 // costs of rule-driven selection once the matcher automaton exists:
 //
-//   1. cold start: loading a ~12k-rule automaton from the versioned
-//      text format (parse + heap reconstruction) vs mapping the binary
-//      image (mmap + header/CRC validation + one bounds-check pass) —
-//      the binary path targets a >= 100x startup speedup, and
+//   1. cold start: mapping a ~12k-rule automaton image (mmap +
+//      header/CRC validation + one bounds-check pass), gated by an
+//      absolute bound on that time, before and after minimization,
+//      and
 //   2. resident service: >= 1M operation selections streamed through
 //      one mmap'ed automaton shared read-only by a multi-threaded
 //      SelectionService, reporting functions/sec, selections/sec, and
@@ -168,10 +168,9 @@ int main() {
   MatcherAutomaton Automaton = buildMatcherAutomaton(Library);
   double CompileSec = CompileTimer.elapsedSeconds();
 
-  const std::string TextPath = "matcher-automaton-bench85.mat";
   const std::string BinPath = "matcher-automaton-bench85.matb";
-  if (!Automaton.writeFile(TextPath) || !Automaton.writeBinaryFile(BinPath)) {
-    std::fprintf(stderr, "FAILURE: cannot write automaton files\n");
+  if (!Automaton.writeBinaryFile(BinPath)) {
+    std::fprintf(stderr, "FAILURE: cannot write automaton image\n");
     return 1;
   }
 
@@ -191,11 +190,9 @@ int main() {
   MinimizeResult Min = minimizeLibrary(Inflated, FullGoals.Goals);
   PreparedLibrary MinLibrary(Min.Minimized, FullGoals.Goals);
   MatcherAutomaton MinAutomaton = buildMatcherAutomaton(MinLibrary);
-  const std::string MinTextPath = "matcher-automaton-bench85.min.mat";
   const std::string MinBinPath = "matcher-automaton-bench85.min.matb";
-  if (!MinAutomaton.writeFile(MinTextPath) ||
-      !MinAutomaton.writeBinaryFile(MinBinPath)) {
-    std::fprintf(stderr, "FAILURE: cannot write minimized automaton files\n");
+  if (!MinAutomaton.writeBinaryFile(MinBinPath)) {
+    std::fprintf(stderr, "FAILURE: cannot write minimized automaton image\n");
     return 1;
   }
   std::printf("minimized: %s rules (%zu deleted with certificates), "
@@ -205,25 +202,11 @@ int main() {
               formatGrouped(MinAutomaton.numStates()).c_str(),
               formatGrouped(MinAutomaton.numTransitions()).c_str());
 
-  // --- Cold start: text parse vs mmap, before/after minimization -------
-  // Text loading re-parses and rebuilds the heap automaton; the binary
-  // path is mmap + validation with zero deserialization, so its cost is
-  // one read-only pass over the tables. Both are measured end to end
-  // (open to usable automaton).
-  const int TextReps = 5;
+  // --- Cold start: mmap + validate, before/after minimization ---------
+  // Mapping is mmap + validation with zero deserialization, so its cost
+  // is one read-only pass over the tables, measured end to end (open to
+  // usable automaton).
   const int MapReps = 200;
-  auto measureText = [&](const std::string &Path, size_t WantStates) {
-    Timer TextTimer;
-    for (int Rep = 0; Rep < TextReps; ++Rep) {
-      std::optional<MatcherAutomaton> Loaded =
-          MatcherAutomaton::loadFile(Path);
-      if (!Loaded || Loaded->numStates() != WantStates) {
-        std::fprintf(stderr, "FAILURE: text reload mismatch\n");
-        std::exit(1);
-      }
-    }
-    return TextTimer.elapsedSeconds() / TextReps;
-  };
   auto measureMap = [&](const std::string &Path, size_t WantStates,
                         size_t &Bytes) {
     Timer MapTimer;
@@ -241,32 +224,30 @@ int main() {
     return MapTimer.elapsedSeconds() / MapReps;
   };
 
-  double TextSec = measureText(TextPath, Automaton.numStates());
   size_t MappedBytes = 0;
   double MapSec = measureMap(BinPath, Automaton.numStates(), MappedBytes);
-  double MinTextSec = measureText(MinTextPath, MinAutomaton.numStates());
   size_t MinMappedBytes = 0;
   double MinMapSec =
       measureMap(MinBinPath, MinAutomaton.numStates(), MinMappedBytes);
 
-  double Speedup = TextSec / MapSec;
+  // The cold-start bound: 1/100 of what parsing the retired text
+  // format took for the default 9 942-rule library's 491 160-byte
+  // image (median 21.2 ms over four runs on a 4-core x86-64 box),
+  // scaled up linearly for larger images (SELGEN_BENCH_SERVER_RULES).
+  const double DefaultImageBytes = 491160;
+  const double MapBoundSec =
+      210e-6 * std::max(1.0, static_cast<double>(MappedBytes) /
+                                 DefaultImageBytes);
   TablePrinter ColdTable({"Startup path", "Time", "Image"});
-  ColdTable.addRow({"text parse (" + TextPath + ")",
-                    formatDouble(TextSec * 1e3, 2) + " ms",
-                    formatGrouped(Automaton.serialize().size()) + " B"});
   ColdTable.addRow({"mmap + validate (" + BinPath + ")",
                     formatDouble(MapSec * 1e6, 1) + " us",
                     formatGrouped(MappedBytes) + " B"});
-  ColdTable.addRow({"text parse, minimized (" + MinTextPath + ")",
-                    formatDouble(MinTextSec * 1e3, 2) + " ms",
-                    formatGrouped(MinAutomaton.serialize().size()) + " B"});
   ColdTable.addRow({"mmap + validate, minimized (" + MinBinPath + ")",
                     formatDouble(MinMapSec * 1e6, 1) + " us",
                     formatGrouped(MinMappedBytes) + " B"});
   std::printf("\n%s", ColdTable.render().c_str());
-  std::printf("\ncold-start speedup (mmap over text parse): %.0fx "
-              "(target >= 100x)\n",
-              Speedup);
+  std::printf("\ncold start: %.1f us (bound <= %.1f us)\n", MapSec * 1e6,
+              MapBoundSec * 1e6);
   std::printf("minimized binary image: %s B vs %s B (%.1f%% smaller)\n",
               formatGrouped(MinMappedBytes).c_str(),
               formatGrouped(MappedBytes).c_str(),
@@ -279,8 +260,8 @@ int main() {
                  "FAILURE: minimization did not shrink the binary image\n");
     return 1;
   }
-  if (Speedup < 100) {
-    std::fprintf(stderr, "FAILURE: mmap cold start below 100x target\n");
+  if (MapSec > MapBoundSec) {
+    std::fprintf(stderr, "FAILURE: mmap cold start above its bound\n");
     return 1;
   }
 

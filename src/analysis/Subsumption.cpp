@@ -7,7 +7,7 @@
 
 #include "analysis/Subsumption.h"
 
-#include "matchergen/MatcherAutomaton.h"
+#include "isel/AutomatonSelector.h"
 #include "semantics/IrSemantics.h"
 #include "support/AtomicFile.h"
 
@@ -117,19 +117,12 @@ selgen::computeSubsumption(const PreparedLibrary &Library,
   SubsumptionRelation Relation;
   Relation.SubsumedBy.resize(Rules.size());
 
-  // Mirror the automaton selector: jump rules the engine never tries
-  // are excluded (the lint auditor gives them their own finding; the
-  // minimizer keeps them untouched because they cannot shadow or be
-  // shadowed through the engine).
-  std::vector<AutomatonPattern> Patterns;
-  for (const PreparedRule &R : Rules) {
-    if (R.IsJumpRule &&
-        (R.Root->opcode() != Opcode::Cond || !R.TakenIsCondZero))
-      continue;
-    Patterns.push_back({&R.TheRule->Pattern, R.Root, R.IsJumpRule, R.Index});
-  }
-  MatcherAutomaton Automaton = MatcherAutomaton::compile(
-      Patterns, Library.fingerprint(), static_cast<uint32_t>(Rules.size()));
+  // The automaton selector's own tree: jump rules the engine never
+  // tries are left out of it (the lint auditor gives them their own
+  // finding; the minimizer keeps them untouched because they cannot
+  // shadow or be shadowed through the engine).
+  const MatcherAutomaton Built = buildMatcherAutomaton(Library);
+  const BinaryAutomatonView &Automaton = Built.view();
 
   for (const PreparedRule &B : Rules) {
     bool BApplicableJump =

@@ -41,52 +41,6 @@ MatcherAutomaton selgen::buildMatcherAutomaton(const PreparedLibrary &Library) {
                                    std::move(Costs), cost::ModelVersion);
 }
 
-/// Shared staleness rule for the cost table: an automaton whose cost
-/// stamp or per-rule costs disagree with the prepared library would
-/// silently mis-price tiling, so it is refused like a fingerprint
-/// mismatch. \p CostAt fetches the image's cost for a rule index.
-template <typename CostAtFn>
-static std::string
-costStalenessError(uint32_t ImageCostVersion, const CostAtFn &CostAt,
-                   const PreparedLibrary &Library) {
-  if (ImageCostVersion != cost::ModelVersion) {
-    if (ImageCostVersion == 0)
-      return "automaton carries no rule cost table (pre-cost image, cost "
-             "version 0; current " +
-             std::to_string(cost::ModelVersion) +
-             "); re-run selgen-matchergen or upgrade it with "
-             "'selgen-matchergen convert'";
-    return "automaton cost table was derived under cost model version " +
-           std::to_string(ImageCostVersion) + ", current is " +
-           std::to_string(cost::ModelVersion) +
-           " (stale automaton; re-run selgen-matchergen)";
-  }
-  for (const PreparedRule &R : Library.rules())
-    if (CostAt(R.Index) != R.Cost)
-      return "automaton cost table disagrees with the library at rule " +
-             std::to_string(R.Index) +
-             " (stale automaton; re-run selgen-matchergen)";
-  return "";
-}
-
-std::string
-selgen::automatonStalenessError(const MatcherAutomaton &Automaton,
-                                const PreparedLibrary &Library) {
-  if (Automaton.libraryFingerprint() != Library.fingerprint())
-    return "automaton was compiled for library fingerprint " +
-           Automaton.libraryFingerprint() + ", current library is " +
-           Library.fingerprint() + " (stale automaton; re-run "
-           "selgen-matchergen)";
-  if (Automaton.numRules() != Library.rules().size())
-    return "automaton indexes " + std::to_string(Automaton.numRules()) +
-           " rules, library has " +
-           std::to_string(Library.rules().size()) +
-           " (stale automaton; re-run selgen-matchergen)";
-  return costStalenessError(
-      Automaton.costVersion(),
-      [&Automaton](uint32_t I) { return Automaton.ruleCosts()[I]; }, Library);
-}
-
 std::string
 selgen::automatonStalenessError(const BinaryAutomatonView &View,
                                 const PreparedLibrary &Library) {
@@ -100,16 +54,33 @@ selgen::automatonStalenessError(const BinaryAutomatonView &View,
            " rules, library has " +
            std::to_string(Library.rules().size()) +
            " (stale automaton; re-run selgen-matchergen)";
-  return costStalenessError(
-      View.costVersion(), [&View](uint32_t I) { return View.ruleCost(I); },
-      Library);
+  // An image whose cost stamp or per-rule costs disagree with the
+  // prepared library would silently mis-price tiling, so it is refused
+  // like a fingerprint mismatch.
+  if (View.costVersion() != cost::ModelVersion) {
+    if (View.costVersion() == 0)
+      return "automaton carries no rule cost table (cost version 0; "
+             "current " +
+             std::to_string(cost::ModelVersion) +
+             "); re-run selgen-matchergen";
+    return "automaton cost table was derived under cost model version " +
+           std::to_string(View.costVersion()) + ", current is " +
+           std::to_string(cost::ModelVersion) +
+           " (stale automaton; re-run selgen-matchergen)";
+  }
+  for (const PreparedRule &R : Library.rules())
+    if (View.ruleCost(R.Index) != R.Cost)
+      return "automaton cost table disagrees with the library at rule " +
+             std::to_string(R.Index) +
+             " (stale automaton; re-run selgen-matchergen)";
+  return "";
 }
 
 void AutomatonCandidateSource::forEachBodyCandidate(
     const Node *S,
     const std::function<bool(const PreparedRule &)> &TryRule) {
   Indices.clear();
-  Automaton.matchBody(S, Indices, &StatesVisited);
+  View.matchBody(S, Indices, &StatesVisited);
   for (uint32_t Index : Indices)
     if (TryRule(Library.rules()[Index]))
       return;
@@ -119,7 +90,7 @@ void AutomatonCandidateSource::forEachJumpCandidate(
     NodeRef Condition,
     const std::function<bool(const PreparedRule &)> &TryRule) {
   Indices.clear();
-  Automaton.matchJump(Condition, Indices, &StatesVisited);
+  View.matchJump(Condition, Indices, &StatesVisited);
   for (uint32_t Index : Indices) {
     const PreparedRule &R = Library.rules()[Index];
     // Defensive re-filter; buildMatcherAutomaton never inserts these.
@@ -134,94 +105,31 @@ uint64_t AutomatonCandidateSource::takeNodesVisited() {
   return std::exchange(StatesVisited, 0);
 }
 
-void MappedCandidateSource::forEachBodyCandidate(
-    const Node *S,
-    const std::function<bool(const PreparedRule &)> &TryRule) {
-  Indices.clear();
-  View.matchBody(S, Indices, &StatesVisited);
-  for (uint32_t Index : Indices)
-    if (TryRule(Library.rules()[Index]))
-      return;
-}
-
-void MappedCandidateSource::forEachJumpCandidate(
-    NodeRef Condition,
-    const std::function<bool(const PreparedRule &)> &TryRule) {
-  Indices.clear();
-  View.matchJump(Condition, Indices, &StatesVisited);
-  for (uint32_t Index : Indices) {
-    const PreparedRule &R = Library.rules()[Index];
-    if (!R.IsJumpRule || !R.TakenIsCondZero)
-      continue;
-    if (TryRule(R))
-      return;
-  }
-}
-
-uint64_t MappedCandidateSource::takeNodesVisited() {
-  return std::exchange(StatesVisited, 0);
-}
-
-AutomatonSelector::AutomatonSelector(const PatternDatabase &Database,
-                                     const GoalLibrary &Goals)
-    : Library(Database, Goals), Automaton(buildMatcherAutomaton(Library)) {
-  noteAutomatonStatistics();
-}
-
-AutomatonSelector::AutomatonSelector(const PatternDatabase &Database,
-                                     const GoalLibrary &Goals,
-                                     MatcherAutomaton Automaton)
-    : Library(Database, Goals), Automaton(std::move(Automaton)) {
-  std::string Stale = automatonStalenessError(this->Automaton, Library);
-  if (!Stale.empty())
-    reportFatalError(Stale);
-  noteAutomatonStatistics();
-}
-
-AutomatonSelector::AutomatonSelector(PreparedLibrary &&PrebuiltLibrary,
-                                     MatcherAutomaton Automaton)
-    : Library(std::move(PrebuiltLibrary)), Automaton(std::move(Automaton)) {
-  std::string Stale = automatonStalenessError(this->Automaton, Library);
-  if (!Stale.empty())
-    reportFatalError(Stale);
-  noteAutomatonStatistics();
-}
-
-void AutomatonSelector::noteAutomatonStatistics() const {
-  Statistics &Stats = Statistics::get();
-  Stats.add("automaton.states",
-            static_cast<int64_t>(Automaton.numStates()));
-  Stats.add("automaton.transitions",
-            static_cast<int64_t>(Automaton.numTransitions()));
-}
-
-SelectionResult AutomatonSelector::select(const Function &F) {
-  AutomatonCandidateSource Source(Library, Automaton);
-  return runRuleSelection(F, Library, Source, name());
-}
-
-MappedAutomatonSelector::MappedAutomatonSelector(
-    const PatternDatabase &Database, const GoalLibrary &Goals,
-    const BinaryAutomatonView &View)
-    : Library(Database, Goals), View(View) {
-  std::string Stale = automatonStalenessError(View, Library);
-  if (!Stale.empty())
-    reportFatalError(Stale);
+/// Records the automaton's size in the global statistics.
+static void noteAutomatonStatistics(const BinaryAutomatonView &View) {
   Statistics &Stats = Statistics::get();
   Stats.add("automaton.states", static_cast<int64_t>(View.numStates()));
   Stats.add("automaton.transitions",
             static_cast<int64_t>(View.numTransitions()));
 }
 
-MappedAutomatonSelector::MappedAutomatonSelector(
-    PreparedLibrary &&PrebuiltLibrary, const BinaryAutomatonView &View)
-    : Library(std::move(PrebuiltLibrary)), View(View) {
+AutomatonSelector::AutomatonSelector(const PatternDatabase &Database,
+                                     const GoalLibrary &Goals)
+    : Library(Database, Goals), Built(buildMatcherAutomaton(Library)),
+      View(Built->view()) {
+  noteAutomatonStatistics(View);
+}
+
+AutomatonSelector::AutomatonSelector(PreparedLibrary &&PrebuiltLibrary,
+                                     const BinaryAutomatonView &Image)
+    : Library(std::move(PrebuiltLibrary)), View(Image) {
   std::string Stale = automatonStalenessError(View, Library);
   if (!Stale.empty())
     reportFatalError(Stale);
+  noteAutomatonStatistics(View);
 }
 
-SelectionResult MappedAutomatonSelector::select(const Function &F) {
-  MappedCandidateSource Source(Library, View);
+SelectionResult AutomatonSelector::select(const Function &F) {
+  AutomatonCandidateSource Source(Library, View);
   return runRuleSelection(F, Library, Source, name());
 }

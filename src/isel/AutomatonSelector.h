@@ -15,10 +15,13 @@
 /// priority order, so the machine code produced is byte-identical to
 /// the linear selector's — only the time to find it changes.
 ///
-/// The automaton can be compiled in memory (buildMatcherAutomaton) or
-/// loaded from a file emitted by the selgen-matchergen tool; loading
-/// validates the library fingerprint so a stale automaton is rejected
-/// rather than silently applied to the wrong library.
+/// The automaton is a binary image (matchergen/BinaryAutomaton.h)
+/// either compiled in memory (buildMatcherAutomaton) or mapped from a
+/// .matb file emitted by the selgen-matchergen tool; both are walked
+/// through the same BinaryAutomatonView. A borrowed image is checked
+/// against the library's fingerprint and cost table, so a stale
+/// automaton is rejected rather than silently applied to the wrong
+/// library.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,51 +42,22 @@ namespace selgen {
 /// selector would attempt a full match for.
 MatcherAutomaton buildMatcherAutomaton(const PreparedLibrary &Library);
 
-/// Returns an explanation if \p Automaton was not compiled from
-/// \p Library (fingerprint, rule-count, or cost-table/cost-version
-/// mismatch — a pre-cost image against a cost-stamped library is
-/// refused, not silently selected with zero costs), or the empty
-/// string if it is current.
-std::string automatonStalenessError(const MatcherAutomaton &Automaton,
-                                    const PreparedLibrary &Library);
-
-/// Staleness check for a mapped binary image — the same fingerprint /
-/// rule-count / cost rules as the text path.
+/// Returns an explanation if \p View was not compiled from \p Library
+/// (fingerprint, rule-count, or cost-table/cost-version mismatch — a
+/// cost-free image against a cost-stamped library is refused, not
+/// silently selected with zero costs), or the empty string if it is
+/// current.
 std::string automatonStalenessError(const BinaryAutomatonView &View,
                                     const PreparedLibrary &Library);
 
 /// Candidate discovery through one discrimination-tree traversal per
-/// subject position (heap automaton). One instance per selection
-/// thread; not thread-safe itself, but many instances can share the
-/// library and automaton.
+/// subject position over an automaton image (in-memory or mapped).
+/// One instance per selection thread; not thread-safe itself, but many
+/// instances can share the library and the read-only image.
 class AutomatonCandidateSource : public RuleCandidateSource {
 public:
   AutomatonCandidateSource(const PreparedLibrary &Library,
-                           const MatcherAutomaton &Automaton)
-      : Library(Library), Automaton(Automaton) {}
-
-  void forEachBodyCandidate(
-      const Node *S,
-      const std::function<bool(const PreparedRule &)> &TryRule) override;
-  void forEachJumpCandidate(
-      NodeRef Condition,
-      const std::function<bool(const PreparedRule &)> &TryRule) override;
-  uint64_t takeNodesVisited() override;
-
-private:
-  const PreparedLibrary &Library;
-  const MatcherAutomaton &Automaton;
-  std::vector<uint32_t> Indices;
-  uint64_t StatesVisited = 0;
-};
-
-/// Candidate discovery directly off a mapped binary automaton image —
-/// zero deserialization, same candidate sets as the heap automaton.
-/// One instance per selection thread over one shared read-only image.
-class MappedCandidateSource : public RuleCandidateSource {
-public:
-  MappedCandidateSource(const PreparedLibrary &Library,
-                        const BinaryAutomatonView &View)
+                           const BinaryAutomatonView &View)
       : Library(Library), View(View) {}
 
   void forEachBodyCandidate(
@@ -101,6 +75,9 @@ private:
   uint64_t StatesVisited = 0;
 };
 
+/// The name compile-server code uses for a source over a mapped image.
+using MappedCandidateSource = AutomatonCandidateSource;
+
 /// Instruction selector driven by a synthesized pattern database, with
 /// automaton-based candidate discovery.
 class AutomatonSelector : public InstructionSelector {
@@ -110,17 +87,14 @@ public:
   AutomatonSelector(const PatternDatabase &Database,
                     const GoalLibrary &Goals);
 
-  /// Uses a pre-compiled automaton (e.g. loaded from a
-  /// selgen-matchergen file). Aborts if the automaton does not match
-  /// the library — callers wanting a graceful error should check
-  /// automatonStalenessError() first.
-  AutomatonSelector(const PatternDatabase &Database, const GoalLibrary &Goals,
-                    MatcherAutomaton Automaton);
-
-  /// Adopts an already-prepared library instead of re-preparing —
-  /// callers that prepared for a staleness check pass it here and the
-  /// redundant prepare (clone + sort of every rule) is skipped.
-  AutomatonSelector(PreparedLibrary &&Library, MatcherAutomaton Automaton);
+  /// Adopts an already-prepared library and borrows \p Image (e.g. a
+  /// mapped .matb file), which must outlive the selector. Callers that
+  /// prepared the library for a staleness check pass it here, so the
+  /// redundant prepare (clone + sort of every rule) is skipped. Aborts
+  /// if the image is stale — callers wanting a graceful error should
+  /// check automatonStalenessError() first.
+  AutomatonSelector(PreparedLibrary &&Library,
+                    const BinaryAutomatonView &Image);
 
   std::string name() const override { return "automaton"; }
   SelectionResult select(const Function &F) override;
@@ -129,42 +103,13 @@ public:
   size_t numRules() const { return Library.rules().size(); }
 
   const PreparedLibrary &library() const { return Library; }
-  const MatcherAutomaton &automaton() const { return Automaton; }
-
-private:
-  void noteAutomatonStatistics() const;
-
-  PreparedLibrary Library;
-  MatcherAutomaton Automaton;
-};
-
-/// Instruction selector running directly off a mapped binary automaton
-/// image with zero deserialization. The image must outlive the
-/// selector. Reports the same selector name as AutomatonSelector —
-/// the two produce byte-identical machine code, and the differential
-/// tests rely on their output files comparing equal.
-class MappedAutomatonSelector : public InstructionSelector {
-public:
-  /// Prepares the library internally. Aborts if \p View is stale —
-  /// check automatonStalenessError() first for a graceful error.
-  MappedAutomatonSelector(const PatternDatabase &Database,
-                          const GoalLibrary &Goals,
-                          const BinaryAutomatonView &View);
-
-  /// Adopts an already-prepared library (no redundant re-prepare).
-  MappedAutomatonSelector(PreparedLibrary &&Library,
-                          const BinaryAutomatonView &View);
-
-  std::string name() const override { return "automaton"; }
-  SelectionResult select(const Function &F) override;
-
-  size_t numRules() const { return Library.rules().size(); }
-  const PreparedLibrary &library() const { return Library; }
-  const BinaryAutomatonView &view() const { return View; }
+  const BinaryAutomatonView &automaton() const { return View; }
 
 private:
   PreparedLibrary Library;
-  const BinaryAutomatonView &View;
+  /// Owns the image of an in-memory build; empty when borrowing.
+  std::optional<MatcherAutomaton> Built;
+  BinaryAutomatonView View;
 };
 
 } // namespace selgen

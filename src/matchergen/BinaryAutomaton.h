@@ -32,16 +32,20 @@
 ///   Fingerprint   FingerprintLen raw bytes (unaligned tail)
 ///
 /// States own [EdgeBegin, EdgeBegin+EdgeCount) of the edge table and
-/// [AcceptBegin, ...) of the accept table; edges keep the exact
-/// insertion order of the heap automaton, so a reconstructed automaton
-/// round-trips byte-identically through the text format. Constant edge
-/// attributes store (width, word span) into the shared uint64 pool,
-/// least-significant word first, unused high bits zero — the same
-/// invariant BitValue keeps, so equality is a width check plus word
-/// compares. The root index mirrors
-/// MatcherAutomaton::BodyRootEdgesByOpcode: entries sorted strictly
-/// ascending by opcode, each owning a span of body-root edge ordinals
-/// in the pool.
+/// [AcceptBegin, ...) of the accept table; edges keep the order in
+/// which the compiler inserted them, so the image is a deterministic
+/// function of the rule library. Constant edge attributes store
+/// (width, word span) into the shared uint64 pool, least-significant
+/// word first, unused high bits zero — the same invariant BitValue
+/// keeps, so equality is a width check plus word compares. The root
+/// index is the body root's edges grouped by opcode: entries sorted
+/// strictly ascending by opcode, each owning a span of body-root edge
+/// ordinals in the pool.
+///
+/// This image is the automaton's only form: MatcherAutomaton::compile
+/// emits it into an owned buffer, selgen-matchergen writes the same
+/// bytes to a .matb file, and both are walked through one
+/// BinaryAutomatonView.
 ///
 /// Validation contract: BinaryAutomatonView::fromMemory accepts a
 /// buffer if and only if every table index, offset, and enum value it
@@ -55,13 +59,15 @@
 #ifndef SELGEN_MATCHERGEN_BINARYAUTOMATON_H
 #define SELGEN_MATCHERGEN_BINARYAUTOMATON_H
 
-#include "matchergen/MatcherAutomaton.h"
+#include "cost/CostModel.h"
+#include "ir/Graph.h"
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace selgen {
 
@@ -84,21 +90,23 @@ enum class BinaryAutomatonError {
 
 const char *binaryAutomatonErrorName(BinaryAutomatonError E);
 
-/// True if the file at \p Path starts with the binary automaton magic
-/// (format sniffing for tools that accept either .mat or .matb).
-bool isBinaryAutomatonFile(const std::string &Path);
-
 /// On-disk structs. Exposed so tests can corrupt specific fields and
 /// assert the typed rejection; everything else should go through
 /// BinaryAutomatonView.
 namespace binfmt {
 
+/// The format's name, for diagnostics; the on-disk discriminator is
+/// the header magic/version.
+constexpr const char *FormatTag = "selgen-matcher-automaton-bin-v2";
 constexpr uint32_t Magic = 0x424D4753u; // "SGMB" when written little-endian.
 /// v2 widened the header by the rule-cost section. v1 images are
-/// refused with BadVersion (the binary format has no upgrade path;
-/// regenerate, or convert via the text format).
+/// refused with BadVersion (there is no upgrade path; regenerate the
+/// image with selgen-matchergen).
 constexpr uint32_t Version = 2;
 constexpr uint32_t EndianTag = 0x01020304u;
+/// Result-index wildcard of a node edge: the first symbol of a body
+/// pattern aligns with a subject *node*, not a specific result.
+constexpr uint32_t AnyResultIndex = 0xffffffffu;
 
 struct Header {
   uint32_t Magic = 0;
@@ -197,9 +205,16 @@ public:
 
   bool valid() const { return Hdr != nullptr; }
 
-  // -- Matching: same contract as MatcherAutomaton ------------------------
+  // -- Matching ------------------------------------------------------------
+  /// Appends to \p RulesOut the indices of every rule whose pattern
+  /// could structurally match at subject node \p Subject, sorted
+  /// ascending (library priority order). \p StatesVisited, if non-null,
+  /// is incremented per automaton state visited.
   void matchBody(const Node *Subject, std::vector<uint32_t> &RulesOut,
                  uint64_t *StatesVisited = nullptr) const;
+
+  /// Like matchBody for compare-and-jump rules, matching the jump tree
+  /// against the branch condition value \p Subject.
   void matchJump(NodeRef Subject, std::vector<uint32_t> &RulesOut,
                  uint64_t *StatesVisited = nullptr) const;
 
@@ -219,11 +234,10 @@ public:
     return RuleCost{R.Instructions, R.Latency, R.Size};
   }
   const binfmt::Header &header() const { return *Hdr; }
-
-  /// Reconstructs a heap MatcherAutomaton (the binary -> text
-  /// conversion path). Round-trips byte-identically through
-  /// MatcherAutomaton::serialize().
-  MatcherAutomaton toAutomaton() const;
+  /// The whole image (header included) the view validated.
+  std::string_view bytes() const {
+    return {reinterpret_cast<const char *>(Hdr), Hdr->TotalBytes};
+  }
 
 private:
   void collect(uint32_t StateId, std::vector<NodeRef> &Stack,

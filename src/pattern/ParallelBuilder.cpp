@@ -24,6 +24,7 @@
 #include <mutex>
 #include <numeric>
 #include <thread>
+#include <utility>
 
 using namespace selgen;
 
@@ -97,6 +98,9 @@ struct GoalState {
   std::set<std::string> Fingerprints;
   GoalSynthesisResult Result;
   unsigned PendingChunks = 0;
+  /// A chunk of the current size died on a z3::exception; the goal
+  /// ends when the size's last chunk lands instead of deepening.
+  bool ChunkFailed = false;
   /// Completed chunk outcomes of the current size, keyed by BeginRank;
   /// merged in ascending rank order so the pattern set matches a
   /// sequential run.
@@ -229,6 +233,7 @@ private:
     S.Fingerprints.clear();
     S.SizeBuffer.clear();
     S.PendingChunks = 0;
+    S.ChunkFailed = false;
     S.CacheHit = false;
     S.ResumedFromJournal = false;
     S.SolverSeconds = 0;
@@ -366,6 +371,7 @@ private:
                                    S.budgetElapsedSeconds());
 
     RangeOutcome Outcome;
+    bool Failed = false;
     if (Build.Pool && Build.Pool->usable()) {
       // Ship the chunk to a supervised worker process. The worker
       // replays it on a fresh context, exactly like the in-process
@@ -396,11 +402,27 @@ private:
       // of what this worker happened to solve before (e.g. of which
       // other goals were cache hits). Context setup is microseconds
       // against a chunk's solver work.
-      SmtContext ChunkSmt;
-      Synthesizer Synth(ChunkSmt, S.Options);
-      Outcome = Synth.synthesizeRange(*S.Goal->Spec, S.Plan, T.Size,
-                                      T.BeginRank, T.EndRank, *S.Corpus,
-                                      Budget);
+      //
+      // Solver checks contain their own failures (SmtSolver), but other
+      // Z3 calls on the chunk's path — the pre-screen's simplify, the
+      // encoding — can still throw, e.g. "canceled" once the deadline
+      // watchdog interrupted the context. This is the boundary that
+      // catches them: uncaught on a worker thread they would reach
+      // std::terminate and kill the whole run. The chunk's work is
+      // lost and its goal ends incomplete with a typed cause.
+      try {
+        SmtContext ChunkSmt;
+        Synthesizer Synth(ChunkSmt, S.Options);
+        Outcome = Synth.synthesizeRange(*S.Goal->Spec, S.Plan, T.Size,
+                                        T.BeginRank, T.EndRank, *S.Corpus,
+                                        Budget);
+      } catch (const z3::exception &) {
+        Outcome = RangeOutcome();
+        Outcome.Complete = false;
+        Outcome.Cause = IncompleteCause::Exception;
+        Failed = true;
+        Statistics::get().add("synth.chunk_exceptions");
+      }
     }
 
     bool Finalize = false;
@@ -411,6 +433,7 @@ private:
       if (Stolen)
         ++S.StolenChunks;
       S.SizeBuffer.emplace(T.BeginRank, std::move(Outcome));
+      S.ChunkFailed |= Failed;
       Finalize = --S.PendingChunks == 0;
     }
     if (Finalize)
@@ -420,8 +443,10 @@ private:
   void finalizeSize(unsigned WorkerId, size_t GoalIndex, unsigned Size) {
     GoalState &S = States[GoalIndex];
     bool Found = false;
+    bool Failed = false;
     {
       std::lock_guard<std::mutex> Guard(S.M);
+      Failed = std::exchange(S.ChunkFailed, false);
       for (auto &[Begin, Outcome] : S.SizeBuffer) {
         (void)Begin;
         if (Outcome.FoundAny)
@@ -430,6 +455,10 @@ private:
                            S.Options.MaxPatternsPerGoal);
       }
       S.SizeBuffer.clear();
+    }
+    if (Failed) {
+      finishGoal(S);
+      return;
     }
     advanceAfterSize(WorkerId, GoalIndex, Size, Found);
   }

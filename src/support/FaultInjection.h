@@ -21,6 +21,10 @@
 ///
 ///   solver_throw      SmtSolver::check throws z3::exception
 ///   solver_unknown    SmtSolver::check reports unknown (budget blown)
+///   prescreen_simplify_throw  the concrete pre-screen's simplify path
+///                     (memory goals) throws z3::exception "canceled",
+///                     outside any supervised check; the synthesis
+///                     chunk boundary must contain it
 ///   shard_truncate    SynthesisCache::store publishes a torn shard
 ///   shard_read        SynthesisCache::lookup sees a corrupt read
 ///   journal_truncate  RunJournal append writes a torn record

@@ -9,6 +9,7 @@
 
 #include "ir/Interpreter.h"
 #include "support/Error.h"
+#include "support/FaultInjection.h"
 
 using namespace selgen;
 
@@ -199,6 +200,8 @@ ScreenVerdict
 ConcreteGoalEval::screenSimplified(const Graph &Pattern, const TestCase &Test,
                                    const ConcreteGoalOutcome &GoalOutcome,
                                    bool RequireTotal) {
+  if (FaultInjector::get().shouldFire("prescreen_simplify_throw"))
+    throw z3::exception("canceled");
   GoalInstance Instance = makeConcreteGoalInstance(Smt, Width, Goal, Test);
   SemanticsContext Context{Smt, Width, Instance.Memory.get(), {}};
   GraphSemantics Semantics =

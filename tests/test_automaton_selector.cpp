@@ -21,6 +21,7 @@
 #include "isel/GeneratedSelector.h"
 #include "isel/SelectionEngine.h"
 #include "refsel/ReferenceSelectors.h"
+#include "support/AtomicFile.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
 #include "testgen/TestCaseGenerator.h"
@@ -254,13 +255,16 @@ TEST_F(AutomatonSelectorTest, DagReconvergentSubjectsMatch) {
 }
 
 TEST_F(AutomatonSelectorTest, SerializedAutomatonProducesIdenticalOutput) {
-  const std::string Path = "test-automaton-roundtrip.mat";
-  ASSERT_TRUE(Automaton.automaton().writeFile(Path));
+  const std::string Path =
+      ::testing::TempDir() + "test-automaton-roundtrip.matb";
+  ASSERT_TRUE(
+      writeFileAtomic(Path, std::string(Automaton.automaton().bytes())));
   std::string Error;
-  std::optional<MatcherAutomaton> Loaded =
-      MatcherAutomaton::loadFile(Path, &Error);
+  std::unique_ptr<MappedAutomaton> Loaded =
+      MatcherAutomaton::mapBinary(Path, &Error);
   ASSERT_TRUE(Loaded) << Error;
-  AutomatonSelector FromFile(GnuRules, Goals, std::move(*Loaded));
+  AutomatonSelector FromFile(PreparedLibrary(GnuRules, Goals),
+                             Loaded->view());
 
   Rng Random(11);
   for (int Trial = 0; Trial < 10; ++Trial) {
@@ -408,9 +412,8 @@ TEST_F(AutomatonSelectorTest, TelemetryCountersRecorded) {
 TEST_F(AutomatonSelectorTest, MappedImageByteIdenticalOnPatternTestFunctions) {
   // The selector running directly off the mmap'ed binary image: on
   // every rule's test function of both libraries, its full output —
-  // including the machine-function header, since both selectors report
-  // the name "automaton" — must equal the heap automaton's byte for
-  // byte.
+  // including the machine-function header — must equal the in-memory
+  // build's byte for byte.
   unsigned LibraryIndex = 0;
   for (const PatternDatabase *Db : {&GnuRules, &ClangRules}) {
     std::string Path = ::testing::TempDir() + "mapped_identity_" +
@@ -424,21 +427,21 @@ TEST_F(AutomatonSelectorTest, MappedImageByteIdenticalOnPatternTestFunctions) {
         MatcherAutomaton::mapBinary(Path, &Error);
     ASSERT_TRUE(Mapped) << Error;
 
-    AutomatonSelector Heap(*Db, Goals);
-    MappedAutomatonSelector FromImage(*Db, Goals, Mapped->view());
-    EXPECT_EQ(FromImage.numRules(), Heap.numRules());
+    AutomatonSelector InMemory(*Db, Goals);
+    AutomatonSelector FromImage(PreparedLibrary(*Db, Goals), Mapped->view());
+    EXPECT_EQ(FromImage.numRules(), InMemory.numRules());
     unsigned Index = 0;
     for (const Rule &R : Db->rules()) {
       Function F = buildPatternTestFunction(
           R, W, "pattest_" + std::to_string(Index));
-      SelectionResult FromHeap = Heap.select(F);
+      SelectionResult FromMemory = InMemory.select(F);
       SelectionResult FromView = FromImage.select(F);
-      ASSERT_TRUE(FromHeap.MF && FromView.MF);
-      EXPECT_EQ(printMachineFunction(*FromHeap.MF),
+      ASSERT_TRUE(FromMemory.MF && FromView.MF);
+      EXPECT_EQ(printMachineFunction(*FromMemory.MF),
                 printMachineFunction(*FromView.MF))
           << "rule " << Index << " for " << R.GoalName;
-      EXPECT_EQ(FromHeap.CoveredOperations, FromView.CoveredOperations);
-      EXPECT_EQ(FromHeap.FallbackOperations, FromView.FallbackOperations);
+      EXPECT_EQ(FromMemory.CoveredOperations, FromView.CoveredOperations);
+      EXPECT_EQ(FromMemory.FallbackOperations, FromView.FallbackOperations);
       ++Index;
     }
     EXPECT_GT(Index, 20u);
@@ -447,18 +450,20 @@ TEST_F(AutomatonSelectorTest, MappedImageByteIdenticalOnPatternTestFunctions) {
 
 TEST_F(AutomatonSelectorTest, MappedImageByteIdenticalOnWorkloads) {
   std::string Path = ::testing::TempDir() + "mapped_workloads.matb";
-  ASSERT_TRUE(Automaton.automaton().writeBinaryFile(Path));
+  ASSERT_TRUE(
+      writeFileAtomic(Path, std::string(Automaton.automaton().bytes())));
   std::string Error;
   std::unique_ptr<MappedAutomaton> Mapped =
       MatcherAutomaton::mapBinary(Path, &Error);
   ASSERT_TRUE(Mapped) << Error;
-  MappedAutomatonSelector FromImage(GnuRules, Goals, Mapped->view());
+  AutomatonSelector FromImage(PreparedLibrary(GnuRules, Goals),
+                              Mapped->view());
   for (const WorkloadProfile &Profile : cint2000Profiles()) {
     Function F = buildWorkload(Profile, W);
-    SelectionResult FromHeap = Automaton.select(F);
+    SelectionResult FromMemory = Automaton.select(F);
     SelectionResult FromView = FromImage.select(F);
-    ASSERT_TRUE(FromHeap.MF && FromView.MF);
-    EXPECT_EQ(printMachineFunction(*FromHeap.MF),
+    ASSERT_TRUE(FromMemory.MF && FromView.MF);
+    EXPECT_EQ(printMachineFunction(*FromMemory.MF),
               printMachineFunction(*FromView.MF))
         << Profile.Name;
   }
@@ -477,13 +482,13 @@ TEST_F(AutomatonSelectorTest, ObserverBypassesGlobalStatistics) {
 
   SelectionResult Plain;
   {
-    AutomatonCandidateSource Source(Lib, Compiled);
+    AutomatonCandidateSource Source(Lib, Compiled.view());
     Plain = runRuleSelection(F, Lib, Source, "automaton");
   }
 
   Statistics::get().clear();
   SelectionObserver Observer;
-  AutomatonCandidateSource Source(Lib, Compiled);
+  AutomatonCandidateSource Source(Lib, Compiled.view());
   SelectionResult Observed =
       runRuleSelection(F, Lib, Source, "automaton", &Observer);
 

@@ -100,7 +100,7 @@ TEST_F(MatchergenTest, CandidatesAreSupersetOfMatchesAndSubsetOfLinear) {
 
   for (const Node *S : Subjects) {
     std::vector<uint32_t> Candidates;
-    Automaton.matchBody(S, Candidates, nullptr);
+    Automaton.view().matchBody(S, Candidates, nullptr);
     EXPECT_TRUE(std::is_sorted(Candidates.begin(), Candidates.end()));
     EXPECT_TRUE(isSubset(Candidates, linearBodyCandidates(S)))
         << "automaton offered a rule the linear prefilter would not";
@@ -127,8 +127,8 @@ TEST_F(MatchergenTest, ConstantValuesDiscriminate) {
   Graph Bad = makeSubject(2);
 
   std::vector<uint32_t> GoodRules, BadRules;
-  Automaton.matchBody(Good.results()[0].Def, GoodRules, nullptr);
-  Automaton.matchBody(Bad.results()[0].Def, BadRules, nullptr);
+  Automaton.view().matchBody(Good.results()[0].Def, GoodRules, nullptr);
+  Automaton.view().matchBody(Bad.results()[0].Def, BadRules, nullptr);
   // The blsr rule (And(a, Sub(a, 1))) is a candidate only for Good.
   bool FoundBlsr = false;
   for (uint32_t Index : GoodRules) {
@@ -148,68 +148,91 @@ TEST_F(MatchergenTest, StateVisitCounterAdvances) {
   NodeRef Sum = G.createBinary(Opcode::Add, G.arg(0), G.arg(1));
   uint64_t Visited = 0;
   std::vector<uint32_t> Rules;
-  Automaton.matchBody(Sum.Def, Rules, &Visited);
+  Automaton.view().matchBody(Sum.Def, Rules, &Visited);
   EXPECT_GT(Visited, 0u);
   EXPECT_FALSE(Rules.empty());
 }
 
 TEST_F(MatchergenTest, SerializationRoundTrips) {
-  std::string Text = Automaton.serialize();
+  // The image written to disk maps back to the same bytes and the
+  // same candidate sets as the in-memory build.
+  std::string Path = ::testing::TempDir() + "matchergen_serialize.matb";
+  ASSERT_TRUE(Automaton.writeBinaryFile(Path));
   std::string Error;
-  std::optional<MatcherAutomaton> Loaded =
-      MatcherAutomaton::deserialize(Text, &Error);
+  std::unique_ptr<MappedAutomaton> Loaded =
+      MatcherAutomaton::mapBinary(Path, &Error);
   ASSERT_TRUE(Loaded) << Error;
-  EXPECT_EQ(Loaded->numStates(), Automaton.numStates());
-  EXPECT_EQ(Loaded->numTransitions(), Automaton.numTransitions());
-  EXPECT_EQ(Loaded->numRules(), Automaton.numRules());
-  EXPECT_EQ(Loaded->libraryFingerprint(), Automaton.libraryFingerprint());
-  // Byte-exact round trip: the format is deterministic.
-  EXPECT_EQ(Loaded->serialize(), Text);
-  EXPECT_TRUE(automatonStalenessError(*Loaded, Library).empty());
+  const BinaryAutomatonView &View = Loaded->view();
+  EXPECT_EQ(View.numStates(), Automaton.numStates());
+  EXPECT_EQ(View.numTransitions(), Automaton.numTransitions());
+  EXPECT_EQ(View.numRules(), Automaton.view().numRules());
+  EXPECT_EQ(View.libraryFingerprint(), Automaton.view().libraryFingerprint());
+  EXPECT_EQ(View.bytes(), Automaton.view().bytes());
+  EXPECT_TRUE(automatonStalenessError(View, Library).empty());
 
-  // The reloaded automaton produces identical candidates.
   Graph G(W, {Sort::value(W), Sort::value(W)});
   NodeRef Sum = G.createBinary(Opcode::Add, G.arg(0), G.arg(1));
   std::vector<uint32_t> A, B;
-  Automaton.matchBody(Sum.Def, A, nullptr);
-  Loaded->matchBody(Sum.Def, B, nullptr);
+  Automaton.view().matchBody(Sum.Def, A, nullptr);
+  View.matchBody(Sum.Def, B, nullptr);
   EXPECT_EQ(A, B);
 }
 
 TEST_F(MatchergenTest, RejectsWrongVersionTag) {
-  std::string Text = Automaton.serialize();
-  std::string Stale = Text;
-  Stale.replace(Stale.find("-v2"), 3, "-v0");
+  // Files that are not a current image are refused by mapBinary with a
+  // typed reason: a text automaton of the retired line format, an
+  // empty file, and an image of a future format version.
+  std::string Dir = ::testing::TempDir();
+  std::string Text = "selgen-matcher-automaton-v2\nlibrary " +
+                     Automaton.view().libraryFingerprint() + "\n";
+  while (Text.size() < 2 * sizeof(binfmt::Header))
+    Text += "state 0\n";
+  Text += "end\n";
+  ASSERT_TRUE(writeFileAtomic(Dir + "matchergen_text.mat", Text));
   std::string Error;
-  EXPECT_FALSE(MatcherAutomaton::deserialize(Stale, &Error));
-  EXPECT_NE(Error.find("version"), std::string::npos);
+  EXPECT_FALSE(MatcherAutomaton::mapBinary(Dir + "matchergen_text.mat",
+                                           &Error));
+  EXPECT_NE(Error.find("bad-magic"), std::string::npos) << Error;
 
-  EXPECT_FALSE(MatcherAutomaton::deserialize("", &Error));
-  EXPECT_FALSE(MatcherAutomaton::deserialize("garbage\nfile\n", &Error));
+  ASSERT_TRUE(writeFileAtomic(Dir + "matchergen_empty.matb", ""));
+  EXPECT_FALSE(MatcherAutomaton::mapBinary(Dir + "matchergen_empty.matb",
+                                           &Error));
+  EXPECT_NE(Error.find("too-small"), std::string::npos) << Error;
+
+  std::string Future = Automaton.serializeBinary();
+  binfmt::Header H;
+  std::memcpy(&H, Future.data(), sizeof(H));
+  H.Version = binfmt::Version + 1;
+  H.HeaderCrc = crc32(&H, offsetof(binfmt::Header, HeaderCrc));
+  std::memcpy(&Future[0], &H, sizeof(H));
+  ASSERT_TRUE(writeFileAtomic(Dir + "matchergen_future.matb", Future));
+  EXPECT_FALSE(MatcherAutomaton::mapBinary(Dir + "matchergen_future.matb",
+                                           &Error));
+  EXPECT_NE(Error.find("version"), std::string::npos) << Error;
 }
 
 TEST_F(MatchergenTest, RejectsTruncatedAndCorruptFiles) {
-  std::string Text = Automaton.serialize();
-  // Truncation: cut before the end marker.
-  std::string Truncated = Text.substr(0, Text.size() / 2);
+  // The file-level path: a torn write and a bit flip in a written
+  // image are refused by mapBinary, never mapped.
+  std::string Dir = ::testing::TempDir();
+  std::string Image = Automaton.serializeBinary();
   std::string Error;
-  EXPECT_FALSE(MatcherAutomaton::deserialize(Truncated, &Error));
+  ASSERT_TRUE(writeFileAtomic(Dir + "matchergen_torn.matb",
+                              Image.substr(0, Image.size() / 2)));
+  EXPECT_FALSE(
+      MatcherAutomaton::mapBinary(Dir + "matchergen_torn.matb", &Error));
+  EXPECT_NE(Error.find("size-mismatch"), std::string::npos) << Error;
 
-  // An edge pointing past the state table.
-  std::string BadEdge = Text;
-  size_t EdgeAt = BadEdge.find("\nedge ");
-  ASSERT_NE(EdgeAt, std::string::npos);
-  BadEdge.replace(EdgeAt, 7, "\nedge 999999 ");
-  EXPECT_FALSE(MatcherAutomaton::deserialize(BadEdge, &Error));
+  std::string Flipped = Image;
+  Flipped[Flipped.size() / 2] ^= 0x20;
+  ASSERT_TRUE(writeFileAtomic(Dir + "matchergen_flip.matb", Flipped));
+  EXPECT_FALSE(
+      MatcherAutomaton::mapBinary(Dir + "matchergen_flip.matb", &Error));
+  EXPECT_NE(Error.find("payload-corrupt"), std::string::npos) << Error;
 
-  // An unknown opcode mnemonic.
-  std::string BadOp = Text;
-  size_t NodeAt = BadOp.find(" node ");
-  ASSERT_NE(NodeAt, std::string::npos);
-  size_t OpStart = BadOp.find(' ', NodeAt + 6) + 1;
-  size_t OpEnd = BadOp.find_first_of(" \n", OpStart);
-  BadOp.replace(OpStart, OpEnd - OpStart, "Frobnicate");
-  EXPECT_FALSE(MatcherAutomaton::deserialize(BadOp, &Error));
+  EXPECT_FALSE(MatcherAutomaton::mapBinary(Dir + "matchergen_missing.matb",
+                                           &Error));
+  EXPECT_NE(Error.find("io"), std::string::npos) << Error;
 }
 
 TEST_F(MatchergenTest, StaleLibraryIsRejected) {
@@ -219,10 +242,10 @@ TEST_F(MatchergenTest, StaleLibraryIsRejected) {
   PreparedLibrary ClangLibrary(ClangRules, Goals);
   MatcherAutomaton ClangAutomaton = buildMatcherAutomaton(ClangLibrary);
 
-  EXPECT_TRUE(automatonStalenessError(Automaton, Library).empty());
-  EXPECT_TRUE(automatonStalenessError(ClangAutomaton, ClangLibrary).empty());
-  EXPECT_FALSE(automatonStalenessError(ClangAutomaton, Library).empty());
-  EXPECT_FALSE(automatonStalenessError(Automaton, ClangLibrary).empty());
+  EXPECT_TRUE(automatonStalenessError(Automaton.view(), Library).empty());
+  EXPECT_TRUE(automatonStalenessError(ClangAutomaton.view(), ClangLibrary).empty());
+  EXPECT_FALSE(automatonStalenessError(ClangAutomaton.view(), Library).empty());
+  EXPECT_FALSE(automatonStalenessError(Automaton.view(), ClangLibrary).empty());
 }
 
 TEST_F(MatchergenTest, FingerprintTracksRuleChanges) {
@@ -240,7 +263,7 @@ TEST_F(MatchergenTest, FingerprintTracksRuleChanges) {
   }
   PreparedLibrary GrownLibrary(Grown, Goals);
   EXPECT_NE(GrownLibrary.fingerprint(), Library.fingerprint());
-  EXPECT_FALSE(automatonStalenessError(Automaton, GrownLibrary).empty());
+  EXPECT_FALSE(automatonStalenessError(Automaton.view(), GrownLibrary).empty());
 }
 
 TEST_F(MatchergenTest, DagReconvergenceIsLeafChecked) {
@@ -274,7 +297,7 @@ TEST_F(MatchergenTest, DagReconvergenceIsLeafChecked) {
   const PreparedRule &Rule = DagLibrary.rules()[0];
   for (NodeRef Subject : {Reconverges, Split}) {
     std::vector<uint32_t> Candidates;
-    DagAutomaton.matchBody(Subject.Def, Candidates, nullptr);
+    DagAutomaton.view().matchBody(Subject.Def, Candidates, nullptr);
     EXPECT_EQ(Candidates, std::vector<uint32_t>{0})
         << "automaton must offer the DAG rule structurally";
   }
@@ -287,7 +310,7 @@ TEST_F(MatchergenTest, DagReconvergenceIsLeafChecked) {
 }
 
 //===----------------------------------------------------------------------===//
-// Binary format ("selgen-matcher-automaton-bin-v1")
+// Binary format ("selgen-matcher-automaton-bin-v2")
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -346,25 +369,28 @@ void putField(std::string &Image, size_t Offset, uint32_t Value) {
 } // namespace
 
 TEST_F(MatchergenTest, BinaryRoundTripMatchesText) {
+  // The image is the automaton's only form: a view validated over a
+  // copy of serializeBinary() is the same bytes as the in-memory
+  // automaton, describes the same automaton, and walks identically.
   std::string Image = Automaton.serializeBinary();
+  EXPECT_EQ(Image, Automaton.view().bytes());
   AlignedImage Aligned(Image);
   std::string Error;
   std::optional<BinaryAutomatonView> View =
       BinaryAutomatonView::fromMemory(Aligned.data(), Aligned.Size, &Error);
   ASSERT_TRUE(View) << Error;
+  EXPECT_EQ(View->bytes(), Image);
   EXPECT_EQ(View->numStates(), Automaton.numStates());
   EXPECT_EQ(View->numTransitions(), Automaton.numTransitions());
-  EXPECT_EQ(View->numRules(), Automaton.numRules());
-  EXPECT_EQ(View->libraryFingerprint(), Automaton.libraryFingerprint());
+  EXPECT_EQ(View->numRules(), Automaton.view().numRules());
+  EXPECT_EQ(View->libraryFingerprint(), Automaton.view().libraryFingerprint());
   EXPECT_TRUE(automatonStalenessError(*View, Library).empty());
 
-  // binary -> heap -> text equals heap -> text: the two encodings
-  // describe the identical automaton.
-  EXPECT_EQ(View->toAutomaton().serialize(), Automaton.serialize());
-  // And the binary encoding itself is deterministic.
+  // The encoding is deterministic.
   EXPECT_EQ(Automaton.serializeBinary(), Image);
+  EXPECT_EQ(buildMatcherAutomaton(Library).serializeBinary(), Image);
 
-  // Candidate sets off the mapped image match the heap automaton's.
+  // Candidate sets off the copied image match the in-memory automaton's.
   Graph G(W, {Sort::memory(), Sort::value(W), Sort::value(W)});
   std::vector<const Node *> Subjects;
   Subjects.push_back(
@@ -378,34 +404,46 @@ TEST_F(MatchergenTest, BinaryRoundTripMatchesText) {
                   G.arg(2))
           .Def);
   for (const Node *S : Subjects) {
-    std::vector<uint32_t> FromHeap, FromView;
-    uint64_t HeapVisited = 0, ViewVisited = 0;
-    Automaton.matchBody(S, FromHeap, &HeapVisited);
+    std::vector<uint32_t> FromBuild, FromView;
+    uint64_t BuildVisited = 0, ViewVisited = 0;
+    Automaton.view().matchBody(S, FromBuild, &BuildVisited);
     View->matchBody(S, FromView, &ViewVisited);
-    EXPECT_EQ(FromHeap, FromView);
-    EXPECT_EQ(HeapVisited, ViewVisited);
+    EXPECT_EQ(FromBuild, FromView);
+    EXPECT_EQ(BuildVisited, ViewVisited);
   }
 }
 
 TEST_F(MatchergenTest, BinaryFileRoundTripAndSniffing) {
+  // The written file holds exactly the image bytes and maps back to
+  // them; a file that is not an image (here, a text automaton of the
+  // retired line format) or is missing is refused by its magic or by
+  // the failed open, never mapped.
+  std::string Image = Automaton.serializeBinary();
   std::string BinPath = ::testing::TempDir() + "matchergen_rt.matb";
   std::string TextPath = ::testing::TempDir() + "matchergen_rt.mat";
   ASSERT_TRUE(Automaton.writeBinaryFile(BinPath));
-  ASSERT_TRUE(Automaton.writeFile(TextPath));
-  EXPECT_TRUE(isBinaryAutomatonFile(BinPath));
-  EXPECT_FALSE(isBinaryAutomatonFile(TextPath));
-  EXPECT_FALSE(isBinaryAutomatonFile(TextPath + ".does-not-exist"));
+  std::optional<std::string> OnDisk = readFileToString(BinPath);
+  ASSERT_TRUE(OnDisk);
+  EXPECT_EQ(*OnDisk, Image);
 
   std::string Error;
   std::unique_ptr<MappedAutomaton> Mapped =
       MatcherAutomaton::mapBinary(BinPath, &Error);
   ASSERT_TRUE(Mapped) << Error;
-  EXPECT_EQ(Mapped->sizeBytes(), Automaton.serializeBinary().size());
-  EXPECT_EQ(Mapped->view().toAutomaton().serialize(), Automaton.serialize());
+  EXPECT_EQ(Mapped->sizeBytes(), Image.size());
+  EXPECT_EQ(Mapped->view().bytes(), Image);
 
+  std::string Text = "selgen-matcher-automaton-v2\nlibrary " +
+                     Automaton.view().libraryFingerprint() + "\n";
+  while (Text.size() < 2 * sizeof(binfmt::Header))
+    Text += "state 0\n";
+  Text += "end\n";
+  ASSERT_TRUE(writeFileAtomic(TextPath, Text));
   EXPECT_FALSE(MatcherAutomaton::mapBinary(TextPath, &Error));
+  EXPECT_NE(Error.find("bad-magic"), std::string::npos) << Error;
   EXPECT_FALSE(
       MatcherAutomaton::mapBinary(BinPath + ".does-not-exist", &Error));
+  EXPECT_NE(Error.find("io"), std::string::npos) << Error;
 }
 
 TEST_F(MatchergenTest, BinaryRejectsTruncation) {

@@ -7,6 +7,8 @@
 
 #include "isel/HandwrittenSelector.h"
 #include "pattern/ParallelBuilder.h"
+#include "support/FaultInjection.h"
+#include "support/Statistics.h"
 #include "x86/Emulator.h"
 
 #include <gtest/gtest.h>
@@ -63,6 +65,58 @@ TEST(ParallelBuilder, TotalModeListApplies) {
   for (const Rule &R : Database.rules())
     EXPECT_GE(R.Pattern.numOperations(), 3u);
   EXPECT_FALSE(Database.rules().empty());
+}
+
+TEST(ParallelBuilder, SolverExceptionEndsOnlyTheGoalHit) {
+  // A z3::exception thrown outside a supervised check (here by the
+  // pre-screen's simplify path, which only memory goals take) must be
+  // contained at the chunk boundary: the run completes, the goal that
+  // was hit ends with a typed cause, and the other goal's rules are
+  // byte-identical to a clean run.
+  auto build = [](const char *Faults) {
+    GoalLibrary All = GoalLibrary::build(W, GoalLibrary::allGroups());
+    GoalLibrary Goals =
+        GoalLibrary::subset(std::move(All), {"mov_load_b", "not_r"});
+    SynthesisOptions Options;
+    Options.Width = W;
+    Options.QueryTimeoutMs = 30000;
+    Options.TimeBudgetSeconds = 30;
+    ParallelBuildOptions Build;
+    Build.NumThreads = 2;
+    EXPECT_TRUE(FaultInjector::get().configure(Faults));
+    Statistics::get().clear();
+    PatternDatabase Db = synthesizeRuleLibraryParallel(Goals, Options, Build);
+    FaultInjector::get().disarm();
+    return Db;
+  };
+  auto rulesOf = [](const PatternDatabase &Db, const std::string &Goal) {
+    std::vector<std::string> Out;
+    for (const Rule &R : Db.rules())
+      if (R.GoalName == Goal)
+        Out.push_back(R.Pattern.fingerprint());
+    return Out;
+  };
+
+  PatternDatabase Clean = build("");
+  ASSERT_FALSE(rulesOf(Clean, "mov_load_b").empty());
+  ASSERT_FALSE(rulesOf(Clean, "not_r").empty());
+
+  PatternDatabase Faulted = build("prescreen_simplify_throw@p=1");
+  Statistics &Stats = Statistics::get();
+  EXPECT_GT(Stats.value("synth.chunk_exceptions"), 0);
+  bool SawLoad = false, SawNot = false;
+  for (const GoalTelemetry &T : Stats.goals()) {
+    if (T.Goal == "mov_load_b") {
+      SawLoad = true;
+      EXPECT_FALSE(T.Complete);
+      EXPECT_EQ(T.IncompleteCause, "exception");
+    } else if (T.Goal == "not_r") {
+      SawNot = true;
+      EXPECT_TRUE(T.Complete);
+    }
+  }
+  EXPECT_TRUE(SawLoad && SawNot);
+  EXPECT_EQ(rulesOf(Faulted, "not_r"), rulesOf(Clean, "not_r"));
 }
 
 TEST(EdgeMoves, ParallelSwapSemantics) {

@@ -18,6 +18,7 @@
 #include "refsel/ReferenceSelectors.h"
 #include "serve/ImageReloader.h"
 #include "serve/SelectionServer.h"
+#include "support/AtomicFile.h"
 #include "support/FaultInjection.h"
 #include "support/Wire.h"
 
@@ -47,28 +48,14 @@ std::vector<std::string> allWorkloadNames() {
   return Names;
 }
 
-/// The server-side fixture: one prepared library, one binary image in
-/// aligned storage, one validated view over it.
+/// The server-side fixture: one prepared library and the view over
+/// its in-memory automaton image.
 struct ServeTest : public ::testing::Test {
   GoalLibrary Goals = GoalLibrary::build(W, GoalLibrary::allGroups());
   PatternDatabase Rules = buildGnuLikeRules(W);
   PreparedLibrary Library{Rules, Goals};
-  std::vector<uint64_t> ImageWords;
-  size_t ImageSize = 0;
-  BinaryAutomatonView View;
-
-  void SetUp() override {
-    std::string Image = buildMatcherAutomaton(Library).serializeBinary();
-    ImageWords.resize(Image.size() / 8 + 1);
-    std::memcpy(ImageWords.data(), Image.data(), Image.size());
-    ImageSize = Image.size();
-    std::string Error;
-    std::optional<BinaryAutomatonView> Validated =
-        BinaryAutomatonView::fromMemory(ImageWords.data(), ImageSize,
-                                        &Error);
-    ASSERT_TRUE(Validated) << Error;
-    View = *Validated;
-  }
+  MatcherAutomaton Automaton = buildMatcherAutomaton(Library);
+  const BinaryAutomatonView &View = Automaton.view();
 
   /// What single-shot sequential selection produces for \p Name.
   std::string sequentialAsm(const std::string &Name) {
@@ -198,14 +185,24 @@ TEST_F(ServeTest, ConcurrentBatchesMatchSequentialSelection) {
   EXPECT_EQ(Service.telemetry().Batches, 1u);
   EXPECT_EQ(Service.telemetry().Functions, Request.Workloads.size());
 
-  // Identical results again from a heap-automaton service: the mapped
-  // image is an encoding detail, not a behavior change.
-  MatcherAutomaton Heap = buildMatcherAutomaton(Library);
-  SelectionService HeapService(Library, Heap, W, 2);
-  std::optional<BatchReply> HeapReply = HeapService.process(Request, &Error);
-  ASSERT_TRUE(HeapReply) << Error;
+  // A service over the same image written to disk and mapped back:
+  // the in-memory image, serializeBinary() and the file are one set of
+  // bytes, so the replies are identical too.
+  std::string Path = ::testing::TempDir() + "serve_concurrent.matb";
+  ASSERT_TRUE(Automaton.writeBinaryFile(Path));
+  std::optional<std::string> OnDisk = readFileToString(Path);
+  ASSERT_TRUE(OnDisk);
+  EXPECT_EQ(*OnDisk, Automaton.serializeBinary());
+  EXPECT_EQ(*OnDisk, View.bytes());
+  std::unique_ptr<MappedAutomaton> Mapped =
+      MatcherAutomaton::mapBinary(Path, &Error);
+  ASSERT_TRUE(Mapped) << Error;
+  SelectionService MappedService(Library, Mapped->view(), W, 2);
+  std::optional<BatchReply> MappedReply =
+      MappedService.process(Request, &Error);
+  ASSERT_TRUE(MappedReply) << Error;
   for (size_t I = 0; I < Reply->Results.size(); ++I)
-    EXPECT_EQ(HeapReply->Results[I].Asm, Reply->Results[I].Asm);
+    EXPECT_EQ(MappedReply->Results[I].Asm, Reply->Results[I].Asm);
 }
 
 TEST_F(ServeTest, RejectsWidthMismatchAndUnknownWorkloads) {

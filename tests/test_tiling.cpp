@@ -33,7 +33,6 @@
 
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
 using namespace selgen;
 
@@ -194,7 +193,7 @@ TEST_F(TilingTest, DagReconvergencePricedOnce) {
 
   PreparedLibrary Library(GnuRules, Goals);
   MatcherAutomaton Automaton = buildMatcherAutomaton(Library);
-  AutomatonCandidateSource Inner(Library, Automaton);
+  AutomatonCandidateSource Inner(Library, Automaton.view());
   TilingCandidateSource Source(Library, Inner, CostKind::Unit);
   Source.prepare(F);
   EXPECT_EQ(Source.bestCoverCost(), 4u);
@@ -206,56 +205,41 @@ TEST_F(TilingTest, DagReconvergencePricedOnce) {
   EXPECT_EQ(R.MF->numInstructions(), 4u);
 }
 
-TEST_F(TilingTest, CostTableRoundTripsThroughTextFormat) {
+TEST_F(TilingTest, CostFreeImageFailsCostStaleness) {
+  // An image without a cost table (cost version 0, what a pre-cost
+  // writer stamped) is structurally valid and maps fine, but a
+  // cost-aware consumer must reject it as stale.
   PreparedLibrary Library(GnuRules, Goals);
-  MatcherAutomaton Automaton = buildMatcherAutomaton(Library);
-  EXPECT_EQ(Automaton.costVersion(), cost::ModelVersion);
-  ASSERT_EQ(Automaton.ruleCosts().size(), Library.rules().size());
-  for (size_t I = 0; I < Library.rules().size(); ++I)
-    EXPECT_EQ(Automaton.ruleCosts()[I], Library.rules()[I].Cost) << I;
+  std::vector<AutomatonPattern> Patterns;
+  for (const PreparedRule &R : Library.rules())
+    if (!R.IsJumpRule)
+      Patterns.push_back({&R.TheRule->Pattern, R.Root, false, R.Index});
+  MatcherAutomaton CostFree = MatcherAutomaton::compile(
+      Patterns, Library.fingerprint(),
+      static_cast<uint32_t>(Library.rules().size()));
 
+  std::string Path = ::testing::TempDir() + "tiling_cost_free.matb";
+  ASSERT_TRUE(CostFree.writeBinaryFile(Path));
   std::string Error;
-  std::optional<MatcherAutomaton> Reloaded =
-      MatcherAutomaton::deserialize(Automaton.serialize(), &Error);
-  ASSERT_TRUE(Reloaded) << Error;
-  EXPECT_EQ(Reloaded->costVersion(), cost::ModelVersion);
-  EXPECT_EQ(Reloaded->ruleCosts(), Automaton.ruleCosts());
-  EXPECT_TRUE(automatonStalenessError(*Reloaded, Library).empty());
-}
-
-TEST_F(TilingTest, LegacyTextFormatParsesButFailsCostStaleness) {
-  PreparedLibrary Library(GnuRules, Goals);
-  MatcherAutomaton Automaton = buildMatcherAutomaton(Library);
-
-  // Reconstruct what a v1 writer produced: the old tag, no costver
-  // header, no per-rule cost lines.
-  std::istringstream In(Automaton.serialize());
-  std::ostringstream Out;
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line.rfind("costver", 0) == 0 || Line.rfind("cost ", 0) == 0)
-      continue;
-    size_t Tag = Line.find(MatcherAutomaton::formatTag());
-    if (Tag != std::string::npos)
-      Line = Line.substr(0, Tag) + MatcherAutomaton::legacyFormatTag() +
-             Line.substr(Tag + std::strlen(MatcherAutomaton::formatTag()));
-    Out << Line << "\n";
-  }
-
-  std::string Error;
-  std::optional<MatcherAutomaton> Legacy =
-      MatcherAutomaton::deserialize(Out.str(), &Error);
-  ASSERT_TRUE(Legacy) << Error; // v1 images still parse...
-  EXPECT_EQ(Legacy->costVersion(), 0u);
-  EXPECT_TRUE(Legacy->ruleCosts().empty());
-  // ...but a cost-aware consumer must reject them as stale.
-  std::string Stale = automatonStalenessError(*Legacy, Library);
-  EXPECT_NE(Stale.find("cost"), std::string::npos) << Stale;
+  std::unique_ptr<MappedAutomaton> Mapped =
+      MatcherAutomaton::mapBinary(Path, &Error);
+  ASSERT_TRUE(Mapped) << Error;
+  EXPECT_EQ(Mapped->view().costVersion(), 0u);
+  std::string Stale = automatonStalenessError(Mapped->view(), Library);
+  EXPECT_NE(Stale.find("no rule cost table"), std::string::npos) << Stale;
+  EXPECT_NE(Stale.find("re-run selgen-matchergen"), std::string::npos)
+      << Stale;
+  EXPECT_EQ(Stale.find("convert"), std::string::npos) << Stale;
 }
 
 TEST_F(TilingTest, CostTableRoundTripsThroughBinaryFormat) {
   PreparedLibrary Library(GnuRules, Goals);
   MatcherAutomaton Automaton = buildMatcherAutomaton(Library);
+  EXPECT_EQ(Automaton.view().costVersion(), cost::ModelVersion);
+  for (size_t I = 0; I < Library.rules().size(); ++I)
+    EXPECT_EQ(Automaton.view().ruleCost(static_cast<uint32_t>(I)),
+              Library.rules()[I].Cost)
+        << I;
 
   std::string Path = ::testing::TempDir() + "tiling_costs.matb";
   ASSERT_TRUE(Automaton.writeBinaryFile(Path));

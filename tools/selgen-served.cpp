@@ -7,14 +7,14 @@
 ///
 /// \file
 /// The resident compile server: loads one rule library and one matcher
-/// automaton at startup (preferably an mmap'ed binary image —
-/// validation instead of parsing, O(1) startup), then serves batched
-/// selection requests over the selgen frame protocol. Selection fans
-/// out over a pool of worker threads sharing the read-only automaton;
-/// results are byte-identical to single-shot
+/// automaton at startup (an mmap'ed .matb image — validation instead
+/// of parsing, O(1) startup — or one compiled in memory), then serves
+/// batched selection requests over the selgen frame protocol.
+/// Selection fans out over a pool of worker threads sharing the
+/// read-only automaton; results are byte-identical to single-shot
 /// `selgen-compile --selector auto` runs.
 ///
-///   selgen-matchergen --library rules.dat --output rules.matb --format binary
+///   selgen-matchergen --library rules.dat --output rules.matb
 ///   selgen-served --library rules.dat --automaton rules.matb --threads 4
 ///   selgen-served --library rules.dat --automaton rules.matb --socket S
 ///
@@ -174,11 +174,11 @@ int main(int argc, char **argv) {
   GoalLibrary Goals = GoalLibrary::build(Width, GoalLibrary::allGroups());
   PreparedLibrary Library(Database, Goals);
 
-  // The automaton: mapped binary image (preferred), parsed text file,
-  // or compiled in memory when no file is given.
+  // The automaton: the mapped --automaton image, or compiled in memory
+  // when no file is given.
   std::unique_ptr<MappedAutomaton> Mapped;
-  std::optional<MatcherAutomaton> Heap;
-  if (!AutomatonPath.empty() && isBinaryAutomatonFile(AutomatonPath)) {
+  std::optional<MatcherAutomaton> Built;
+  if (!AutomatonPath.empty()) {
     std::string Error;
     Mapped = MatcherAutomaton::mapBinary(AutomatonPath, &Error);
     if (!Mapped) {
@@ -190,32 +190,16 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "error: %s\n", Stale.c_str());
       return 1;
     }
-  } else if (!AutomatonPath.empty()) {
-    std::string Error;
-    Heap = MatcherAutomaton::loadFile(AutomatonPath, &Error);
-    if (!Heap) {
-      std::fprintf(stderr, "error: %s\n", Error.c_str());
-      return 1;
-    }
-    std::string Stale = automatonStalenessError(*Heap, Library);
-    if (!Stale.empty()) {
-      std::fprintf(stderr, "error: %s\n", Stale.c_str());
-      return 1;
-    }
   } else {
-    Heap = buildMatcherAutomaton(Library);
+    Built = buildMatcherAutomaton(Library);
   }
+  const BinaryAutomatonView &View = Mapped ? Mapped->view() : Built->view();
+  auto Service = std::make_unique<SelectionService>(Library, View, Width,
+                                                    Threads, Tiling,
+                                                    *CostModel);
 
-  std::unique_ptr<SelectionService> Service;
-  if (Mapped)
-    Service = std::make_unique<SelectionService>(
-        Library, Mapped->view(), Width, Threads, Tiling, *CostModel);
-  else
-    Service = std::make_unique<SelectionService>(Library, *Heap, Width,
-                                                 Threads, Tiling, *CostModel);
-
-  // SIGHUP hot reload is only meaningful for an on-disk binary image
-  // (text and in-memory automata have nothing to re-map).
+  // SIGHUP hot reload is only meaningful for an on-disk image (an
+  // in-memory automaton has nothing to re-map).
   std::unique_ptr<ImageReloader> Reloader;
   if (Mapped)
     Reloader =
@@ -242,9 +226,7 @@ int main(int argc, char **argv) {
                "selgen-served: %zu rules, %zu states (%s), %u threads, "
                "selector %s%s%s\n",
                Library.rules().size(),
-               Mapped ? Mapped->view().numStates() : Heap->numStates(),
-               Mapped ? "mapped" : AutomatonPath.empty() ? "in-memory"
-                                                         : "text",
+               View.numStates(), Mapped ? "mapped" : "in-memory",
                Threads, SelectorName.c_str(), Tiling ? "/" : "",
                Tiling ? costKindName(*CostModel) : "");
 
