@@ -14,8 +14,7 @@
 #include <map>
 #include <memory>
 
-#include "isel/AutomatonSelector.h"
-#include "isel/TilingSelector.h"
+#include "isel/RuleSelector.h"
 #include "support/Error.h"
 #include "support/Statistics.h"
 #include "pattern/ParallelBuilder.h"
@@ -52,9 +51,8 @@ std::optional<CostKind> selgen::bench::benchCostModel() {
 std::unique_ptr<InstructionSelector>
 selgen::bench::makeRuleDrivenSelector(const PatternDatabase &Db,
                                       const GoalLibrary &Goals) {
-  if (std::optional<CostKind> Kind = benchCostModel())
-    return std::make_unique<TilingSelector>(Db, Goals, *Kind);
-  return std::make_unique<AutomatonSelector>(Db, Goals);
+  return std::make_unique<RuleSelector>(Db, Goals, RuleDiscovery::Image,
+                                        benchCostModel());
 }
 
 static double goalBudgetSeconds() {
@@ -124,11 +122,13 @@ BenchGoals selgen::bench::makeBenchGoals(const std::string &Kind) {
 std::string selgen::bench::libraryCachePath(const std::string &Kind) {
   std::string Name =
       "rule-library-" + Kind + "-w" + std::to_string(Width) + ".dat";
-  // The shipped libraries live in artifacts/ (repo layout); prefer one
-  // there — from the repo root or from bench/ — before falling back to
-  // a cwd-local cache file that a synthesis run will create.
-  for (const std::string &Dir : {std::string("artifacts/"),
-                                 std::string("../artifacts/")}) {
+  // The shipped libraries live in artifacts/ of the source tree; prefer
+  // one there — found from any working directory, then relative to the
+  // repo root or bench/ — before falling back to a cwd-local cache file
+  // that a synthesis run will create.
+  for (const std::string &Dir :
+       {std::string(SELGEN_SOURCE_DIR "/artifacts/"),
+        std::string("artifacts/"), std::string("../artifacts/")}) {
     std::ifstream Probe(Dir + Name);
     if (Probe.good())
       return Dir + Name;

@@ -57,8 +57,8 @@ bool fullScale();
 std::optional<CostKind> benchCostModel();
 
 /// The rule-driven selector the benchmark harnesses should measure
-/// over \p Db: the first-match AutomatonSelector by default, or a
-/// cost-minimal TilingSelector under SELGEN_COST_MODEL (see
+/// over \p Db: automaton discovery with the first-match policy by
+/// default, or cost-minimal tiling under SELGEN_COST_MODEL (see
 /// benchCostModel()).
 std::unique_ptr<InstructionSelector>
 makeRuleDrivenSelector(const PatternDatabase &Db, const GoalLibrary &Goals);

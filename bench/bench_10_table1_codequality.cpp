@@ -23,7 +23,6 @@
 #include "isel/AutomatonSelector.h"
 #include "isel/GeneratedSelector.h"
 #include "isel/HandwrittenSelector.h"
-#include "isel/TilingSelector.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
@@ -161,8 +160,10 @@ int main() {
       "--cost-model latency");
 
   AutomatonSelector FirstMatch(FullDb, FullGoals.Goals);
-  TilingSelector TilingUnit(FullDb, FullGoals.Goals, CostKind::Unit);
-  TilingSelector TilingLatency(FullDb, FullGoals.Goals, CostKind::Latency);
+  RuleSelector TilingUnit(FullDb, FullGoals.Goals, RuleDiscovery::Image,
+                          CostKind::Unit);
+  RuleSelector TilingLatency(FullDb, FullGoals.Goals, RuleDiscovery::Image,
+                             CostKind::Latency);
 
   uint64_t FmStaticCost = 0, TiStaticCost = 0;
   uint64_t FmStaticInstrs = 0, TiStaticInstrs = 0;

@@ -26,7 +26,7 @@
 
 #include "analysis/LibraryMinimizer.h"
 #include "eval/Workloads.h"
-#include "isel/AutomatonSelector.h"
+#include "isel/RuleSelector.h"
 #include "matchergen/BinaryAutomaton.h"
 #include "serve/SelectionServer.h"
 #include "serve/SelectionService.h"

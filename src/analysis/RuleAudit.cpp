@@ -142,7 +142,7 @@ void checkJumpApplicability(const PreparedLibrary &Library,
           "compare-and-jump rule is not rooted at a Cond operation; the "
           "selection engine never tries it",
           LibraryName, R));
-    } else if (!R.TakenIsCondZero) {
+    } else if (!R.JumpCanFire) {
       Findings.push_back(libraryFinding(
           "inapplicable-jump-rule", "warning",
           "compare-and-jump rule wires the taken edge to the Cond "

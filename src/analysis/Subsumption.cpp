@@ -7,7 +7,7 @@
 
 #include "analysis/Subsumption.h"
 
-#include "isel/AutomatonSelector.h"
+#include "isel/RuleSelector.h"
 #include "semantics/IrSemantics.h"
 #include "support/AtomicFile.h"
 
@@ -125,9 +125,7 @@ selgen::computeSubsumption(const PreparedLibrary &Library,
   const BinaryAutomatonView &Automaton = Built.view();
 
   for (const PreparedRule &B : Rules) {
-    bool BApplicableJump =
-        B.Root->opcode() == Opcode::Cond && B.TakenIsCondZero;
-    if (B.IsJumpRule && !BApplicableJump)
+    if (B.IsJumpRule && !B.JumpCanFire)
       continue;
 
     // Candidate earlier rules whose pattern structurally subsumes B's:

@@ -7,16 +7,16 @@
 ///
 /// \file
 /// The cost subsystem: every prepared rule carries a small cost vector
-/// derived from its goal's emission recipe, and the tiling selector
-/// (src/isel/TilingSelector.h) minimizes the chosen component over a
-/// whole covering instead of taking the first match.
+/// derived from its goal's emission recipe, and the selection engine's
+/// tiling policy (src/isel/SelectionEngine.cpp) minimizes the chosen
+/// component over a whole covering instead of taking the first match.
 ///
 /// The vector has three components, each a different shipped cost
 /// model:
 ///
 /// * Instructions — how many machine instructions the recipe emits.
 ///   Under this "unit" model every rule that covers the same cone of
-///   IR ties (see TilingSelector.h), so tie-breaking by prepared index
+///   IR ties (see the tiling DP), so tie-breaking by prepared index
 ///   reproduces first-match selection byte-identically: the migration
 ///   anchor CI enforces.
 /// * Latency — the emulator's cycle estimate (x86/Emulator.h

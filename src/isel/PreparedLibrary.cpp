@@ -61,14 +61,13 @@ PreparedLibrary::PreparedLibrary(const PatternDatabase &Database,
         ImmediateMoveGoal = Goal;
       continue;
     }
-    if (Prepared.IsJumpRule) {
+    if (Prepared.IsJumpRule && Prepared.Root->opcode() == Opcode::Cond) {
       // The goal's "taken" result (its first boolean result) must be
       // the Cond node's taken output.
       for (const NodeRef &Ref : R.Pattern.results()) {
         if (!Ref.sort().isBool())
           continue;
-        Prepared.TakenIsCondZero =
-            Ref.Def == Prepared.Root && Ref.Index == 0;
+        Prepared.JumpCanFire = Ref.Def == Prepared.Root && Ref.Index == 0;
         break;
       }
     }

@@ -36,11 +36,12 @@ struct PreparedRule {
   const GoalInstruction *Goal = nullptr;
   const Node *Root = nullptr; ///< Pattern root operation (never null here).
   bool IsJumpRule = false;    ///< Goal is a compare-and-jump pair.
-  /// Jump rules only: the pattern's first boolean result is the Cond
-  /// node's taken output (result 0). A rule wired the other way around
-  /// would need inverted branch targets, which the prototype does not
-  /// do; such rules never fire.
-  bool TakenIsCondZero = false;
+  /// A jump rule the engine can fire: rooted at a Cond whose taken
+  /// output (result 0) is the pattern's first boolean result. A rule
+  /// wired the other way around would need inverted branch targets,
+  /// which the prototype does not do; it is never offered as a
+  /// candidate. Always false for body rules.
+  bool JumpCanFire = false;
   /// Position in the most-specific-first priority order. Leaves of the
   /// matching automaton refer to rules by this index.
   uint32_t Index = 0;

@@ -16,6 +16,7 @@
 #include "support/Timer.h"
 #include "x86/MachinePasses.h"
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
@@ -35,11 +36,60 @@ struct SelectionCounters {
   uint64_t PrecondProved = 0;
 };
 
+/// What every block of one selection run shares: discovery, policy and
+/// the counters.
+struct SelectionRun {
+  const PreparedLibrary &Library;
+  RuleCandidateSource &Source;
+  /// The tiling cost model; empty under the first-match policy.
+  std::optional<CostKind> Tiling;
+  /// Tiling only: the cost of materializing a constant into a register
+  /// (the library's immediate-move rule under the model; zero under
+  /// unit).
+  uint64_t ConstCost = 0;
+  unsigned Width = 0;
+  SelectionCounters Counters;
+};
+
+/// True for nodes the engine never offers to rules as a body root:
+/// bool-only producers (Cmp) are matched as part of their consumers or
+/// at the terminator.
+bool isBoolOnlyProducer(const Node *S) {
+  return S->numResults() == 1 && S->resultSort(0).isBool();
+}
+
+bool isMemoryValue(const NodeRef &Ref) {
+  return Ref.Def->resultSort(Ref.Index).isMemory();
+}
+
+/// Per-node cost estimate of the naive fallback lowering (emitFallback),
+/// which the tiling DP charges for cones no rule covers. The unit model
+/// always charges 1 per node; the other models mirror emitFallback's
+/// instruction choices.
+RuleCost fallbackNodeCost(const Node *N) {
+  switch (N->opcode()) {
+  case Opcode::Mul:
+    return RuleCost{1, 3, 3}; // imul
+  case Opcode::Load:
+  case Opcode::Store:
+    return RuleCost{1, 4, 3}; // mov with one memory operand
+  case Opcode::Mux:
+    return RuleCost{2, 2, 5}; // cmp + cmov
+  case Opcode::Arg:
+  case Opcode::Const:
+  case Opcode::Cond:
+    return RuleCost{0, 0, 0};
+  default:
+    return RuleCost{1, 1, 2}; // single reg-reg ALU instruction
+  }
+}
+
 /// Selection and emission for one basic block.
 class BlockSelection {
 public:
-  BlockSelection(FunctionLowering &Lowering, const BasicBlock *BB)
-      : L(Lowering), BB(BB), MB(Lowering.machineBlock(BB)) {}
+  BlockSelection(FunctionLowering &Lowering, const BasicBlock *BB,
+                 SelectionRun &Run)
+      : L(Lowering), BB(BB), MB(Lowering.machineBlock(BB)), Run(Run) {}
 
   struct Selection {
     const Rule *TheRule = nullptr;
@@ -53,6 +103,7 @@ public:
   FunctionLowering &L;
   const BasicBlock *BB;
   MachineBlock *MB;
+  SelectionRun &Run;
 
   std::vector<Node *> Live; ///< Non-Arg live nodes, forward order.
   std::map<ValueKey, std::vector<const Node *>> Users;
@@ -61,8 +112,13 @@ public:
   std::map<const Node *, Selection> SelectionsByRoot;
   std::optional<Selection> BranchSelection;
 
+  /// Tiling only: the candidates of Live[I] and of the branch
+  /// condition in cover-cost order, and the DP objective of the block.
+  std::vector<std::vector<uint32_t>> BodyOrder;
+  std::vector<uint32_t> JumpOrder;
+  uint64_t BestCoverCost = 0;
+
   unsigned SynthCount = 0, FallbackCount = 0;
-  const GoalInstruction *ImmediateMoveGoal = nullptr;
 
   /// Lazily built known-bits/range facts over the block body, used to
   /// discharge shift preconditions statically.
@@ -92,14 +148,13 @@ public:
 
   /// The precondition gate shared by body and branch selection: prove
   /// statically when possible, fall back to the matched-constant check.
-  bool preconditionsHold(const Graph &Pattern, const MatchResult &Match,
-                         unsigned Width, SelectionCounters &Counters) {
+  bool preconditionsHold(const Graph &Pattern, const MatchResult &Match) {
     if (StaticPrecondElision &&
         preconditionsProvedStatically(Pattern, Match)) {
-      ++Counters.PrecondProved;
+      ++Run.Counters.PrecondProved;
       return true;
     }
-    return matchedConstantsSatisfyPreconditions(Pattern, Match, Width);
+    return matchedConstantsSatisfyPreconditions(Pattern, Match, Run.Width);
   }
 
   void computeLiveness() {
@@ -160,24 +215,29 @@ public:
     return true;
   }
 
-  void selectBody(RuleCandidateSource &Source, unsigned Width,
-                  SelectionCounters &Counters) {
-    for (auto It = Live.rbegin(); It != Live.rend(); ++It) {
-      Node *S = *It;
-      if (Covered.count(S) || S->opcode() == Opcode::Const)
+  /// Offers the prepared rules \p Order names to \p TryRule until it
+  /// accepts one.
+  template <typename TryFn>
+  void offer(const std::vector<uint32_t> &Order, TryFn &&TryRule) {
+    for (uint32_t Index : Order)
+      if (TryRule(Run.Library.rules()[Index]))
+        return;
+  }
+
+  void selectBody() {
+    for (size_t Pos = Live.size(); Pos-- > 0;) {
+      Node *S = Live[Pos];
+      if (Covered.count(S) || S->opcode() == Opcode::Const ||
+          isBoolOnlyProducer(S))
         continue;
-      // Bool-only producers (Cmp) are matched as part of their
-      // consumers or at the terminator.
-      if (S->numResults() == 1 && S->resultSort(0).isBool())
-        continue;
-      Source.forEachBodyCandidate(S, [&](const PreparedRule &R) {
-        ++Counters.RulesTried;
+      auto TryRule = [&](const PreparedRule &R) {
+        ++Run.Counters.RulesTried;
         std::optional<MatchResult> Match =
             matchPattern(R.TheRule->Pattern, R.Goal->Spec->argRoles(),
-                         R.Root, S, &Counters.NodesVisited);
+                         R.Root, S, &Run.Counters.NodesVisited);
         if (!Match)
           return false;
-        if (!preconditionsHold(R.TheRule->Pattern, *Match, Width, Counters))
+        if (!preconditionsHold(R.TheRule->Pattern, *Match))
           return false;
         std::set<ValueKey> Produced =
             producedValues(R.TheRule->Pattern, *Match, nullptr);
@@ -199,25 +259,28 @@ public:
           Covered.insert(X);
         SelectionsByRoot.emplace(S, std::move(Sel));
         return true;
-      });
+      };
+      if (Run.Tiling)
+        offer(BodyOrder[Pos], TryRule);
+      else
+        Run.Source.forEachBodyCandidate(S, TryRule);
       // Unselected nodes fall back during emission.
     }
   }
 
-  void selectBranch(RuleCandidateSource &Source, unsigned Width,
-                    SelectionCounters &Counters) {
+  void selectBranch() {
     if (BB->terminator().TermKind != Terminator::Kind::Branch)
       return;
     NodeRef Condition = BB->terminator().Condition;
-    Source.forEachJumpCandidate(Condition, [&](const PreparedRule &R) {
-      ++Counters.RulesTried;
+    auto TryRule = [&](const PreparedRule &R) {
+      ++Run.Counters.RulesTried;
       std::optional<MatchResult> Match =
           matchPatternValue(R.TheRule->Pattern, R.Goal->Spec->argRoles(),
                             R.Root->operand(0), Condition,
-                            &Counters.NodesVisited);
+                            &Run.Counters.NodesVisited);
       if (!Match)
         return false;
-      if (!preconditionsHold(R.TheRule->Pattern, *Match, Width, Counters))
+      if (!preconditionsHold(R.TheRule->Pattern, *Match))
         return false;
       std::set<ValueKey> Produced =
           producedValues(R.TheRule->Pattern, *Match, R.Root);
@@ -235,7 +298,178 @@ public:
         Covered.insert(X);
       BranchSelection = std::move(Sel);
       return true;
-    });
+    };
+    if (Run.Tiling)
+      offer(JumpOrder, TryRule);
+    else
+      Run.Source.forEachJumpCandidate(Condition, TryRule);
+  }
+
+  /// The distinct consumers of \p D's non-memory values, capped at 2; a
+  /// terminator use counts as 2. A value with 2 is shared: it is
+  /// produced once whichever tile consumes it. Memory tokens do not
+  /// count: they thread through loads and stores for free (a rule that
+  /// folds a load reproduces the token, see producedValues), so a token
+  /// use never makes its producer look shared.
+  unsigned valueUsers(const Node *D) const {
+    const Node *FirstUser = nullptr;
+    for (unsigned I = 0; I < D->numResults(); ++I) {
+      if (D->resultSort(I).isMemory())
+        continue;
+      if (TerminatorUses.count({D, I}))
+        return 2;
+      auto It = Users.find({D, I});
+      if (It == Users.end())
+        continue;
+      for (const Node *User : It->second) {
+        if (FirstUser && User != FirstUser)
+          return 2;
+        FirstUser = User;
+      }
+    }
+    return FirstUser ? 1 : 0;
+  }
+
+  /// The tiling policy (DESIGN.md Section 4f): a bottom-up dynamic
+  /// program prices the cheapest cover of every selectable node's
+  /// operand cone under \p Kind and orders the node's candidates (and
+  /// the branch condition's) by (cover cost, priority index); the
+  /// first-match commit then runs over that order, so emission,
+  /// legality checks and fallback stay first-match's. A tile costs its
+  /// rule's cost plus each distinct frontier input once: arguments,
+  /// shared values (priced once at their own root, which keeps the DP
+  /// sound on re-converging DAGs) and Imm-role constants are free, a
+  /// Reg-role constant costs the immediate-move rule, and a single-use
+  /// operation costs its own cone's best. Under the unit model every
+  /// full cover of a cone costs its node count, so the order is the
+  /// library priority order and the code is first-match's, byte for
+  /// byte. Structurally unmatched candidates stay last in priority
+  /// order (sources only over-approximate; the engine rejects them).
+  void orderCandidatesByCost(CostKind Kind) {
+    // Best known cost of covering the cone rooted at a definition.
+    std::map<const Node *, uint64_t> Best;
+    auto bestOf = [&Best](const Node *D) {
+      auto It = Best.find(D);
+      return It != Best.end() ? It->second : uint64_t(0);
+    };
+
+    // What a matched tile pays for its frontier inputs.
+    auto inputCost = [&](const MatchResult &Match,
+                         const std::vector<ArgRole> &Roles) {
+      std::set<const Node *> Inside(Match.CoveredNodes.begin(),
+                                    Match.CoveredNodes.end());
+      std::map<const Node *, uint64_t> PerDef;
+      for (size_t I = 0; I < Match.ArgBindings.size(); ++I) {
+        const NodeRef &Ref = Match.ArgBindings[I];
+        if (!Ref.isValid() || isMemoryValue(Ref))
+          continue;
+        const Node *D = Ref.Def;
+        uint64_t C = 0; // Free: an argument, inside the tile, or shared.
+        if (D->opcode() == Opcode::Const) {
+          if (!Inside.count(D))
+            C = I < Roles.size() && Roles[I] == ArgRole::Imm ? 0
+                                                             : Run.ConstCost;
+        } else if (D->opcode() != Opcode::Arg && !Inside.count(D) &&
+                   valueUsers(D) < 2) {
+          C = bestOf(D);
+        }
+        auto [It, Inserted] = PerDef.emplace(D, C);
+        if (!Inserted)
+          It->second = std::min(It->second, C);
+      }
+      uint64_t Sum = 0;
+      for (const auto &Entry : PerDef)
+        Sum += Entry.second;
+      return Sum;
+    };
+
+    // What covering one node costs when no rule fires (the per-opcode
+    // fallback), with the same input accounting.
+    auto fallbackCoverCost = [&](const Node *S) {
+      uint64_t Total =
+          Kind == CostKind::Unit ? 1 : fallbackNodeCost(S).get(Kind);
+      std::set<const Node *> Seen;
+      for (const NodeRef &Operand : S->operands()) {
+        const Node *D = Operand.Def;
+        if (isMemoryValue(Operand) || !Seen.insert(D).second ||
+            D->opcode() == Opcode::Arg || valueUsers(D) == 2)
+          continue;
+        Total += D->opcode() == Opcode::Const ? Run.ConstCost : bestOf(D);
+      }
+      return Total;
+    };
+
+    // Sorts \p Order (candidates in priority order) by (cover cost,
+    // index), structurally unmatched ones last; returns the cheapest
+    // cover, or nullopt if none matched.
+    constexpr uint64_t Unmatched = UINT64_MAX;
+    auto rank = [&](std::vector<uint32_t> &Order, auto &&Match) {
+      std::vector<std::pair<uint64_t, uint32_t>> Ranked;
+      Ranked.reserve(Order.size());
+      for (uint32_t Index : Order) {
+        const PreparedRule &R = Run.Library.rules()[Index];
+        std::optional<MatchResult> M = Match(R);
+        uint64_t Cost = Unmatched;
+        if (M)
+          Cost = (Kind == CostKind::Unit ? M->CoveredNodes.size()
+                                         : R.Cost.get(Kind)) +
+                 inputCost(*M, R.Goal->Spec->argRoles());
+        Ranked.emplace_back(Cost, Index);
+      }
+      std::sort(Ranked.begin(), Ranked.end());
+      for (size_t I = 0; I < Ranked.size(); ++I)
+        Order[I] = Ranked[I].second;
+      return Ranked.empty() || Ranked.front().first == Unmatched
+                 ? std::nullopt
+                 : std::optional<uint64_t>(Ranked.front().first);
+    };
+    auto collectInto = [](std::vector<uint32_t> &Order) {
+      return [&Order](const PreparedRule &R) {
+        Order.push_back(R.Index);
+        return false; // Enumerate everything; the DP picks the order.
+      };
+    };
+
+    // Live is in creation order, so every operand's cone is priced
+    // before its users look it up.
+    BodyOrder.resize(Live.size());
+    for (size_t I = 0; I < Live.size(); ++I) {
+      const Node *S = Live[I];
+      if (S->opcode() == Opcode::Const) {
+        Best[S] = Run.ConstCost;
+        continue;
+      }
+      if (isBoolOnlyProducer(S)) {
+        // Never a selection root; priced as fallback if a tile ever
+        // stops at it.
+        Best[S] = fallbackCoverCost(S);
+        continue;
+      }
+      Run.Source.forEachBodyCandidate(S, collectInto(BodyOrder[I]));
+      std::optional<uint64_t> Cheapest =
+          rank(BodyOrder[I], [&](const PreparedRule &R) {
+            return matchPattern(R.TheRule->Pattern, R.Goal->Spec->argRoles(),
+                                R.Root, S, &Run.Counters.NodesVisited);
+          });
+      Best[S] = Cheapest ? *Cheapest : fallbackCoverCost(S);
+      // The emitted cover decomposes into roots: shared definitions,
+      // terminator-used values, and nodes live only through the memory
+      // chain (stores). Their cones sum to the DP objective.
+      if (valueUsers(S) != 1)
+        BestCoverCost += Best[S];
+    }
+
+    if (BB->terminator().TermKind != Terminator::Kind::Branch)
+      return;
+    NodeRef Condition = BB->terminator().Condition;
+    Run.Source.forEachJumpCandidate(Condition, collectInto(JumpOrder));
+    if (std::optional<uint64_t> Cheapest =
+            rank(JumpOrder, [&](const PreparedRule &R) {
+              return matchPatternValue(
+                  R.TheRule->Pattern, R.Goal->Spec->argRoles(),
+                  R.Root->operand(0), Condition, &Run.Counters.NodesVisited);
+            }))
+      BestCoverCost += *Cheapest;
   }
 
   /// Emits one selected rule instance.
@@ -288,8 +522,8 @@ public:
     if (L.hasValue(Ref))
       return L.value(Ref);
     if (Ref.Def->opcode() == Opcode::Const) {
-      if (ImmediateMoveGoal) {
-        EmittedGoal Out = ImmediateMoveGoal->Emit(
+      if (const GoalInstruction *MovRi = Run.Library.immediateMoveGoal()) {
+        EmittedGoal Out = MovRi->Emit(
             L.machineFunction(),
             {MOperand::imm(Ref.Def->constValue())});
         for (MachineInstr &Instr : Out.Instrs)
@@ -321,8 +555,6 @@ public:
 
   /// Naive per-operation fallback lowering (counts against coverage).
   void emitFallback(Node *S) {
-    unsigned Width = BB->body().width();
-    (void)Width;
     auto def = [&](unsigned Index, MOperand Op) {
       L.setValue(NodeRef(S, Index), std::move(Op));
     };
@@ -402,13 +634,13 @@ public:
     ++FallbackCount;
   }
 
-  void run(RuleCandidateSource &Source, const GoalInstruction *MovRi,
-           unsigned Width, SelectionCounters &Counters) {
-    ImmediateMoveGoal = MovRi;
+  void run() {
     Facts.emplace(BB->body());
     computeLiveness();
-    selectBranch(Source, Width, Counters);
-    selectBody(Source, Width, Counters);
+    if (Run.Tiling)
+      orderCandidatesByCost(*Run.Tiling);
+    selectBranch();
+    selectBody();
 
     for (Node *S : Live) {
       auto It = SelectionsByRoot.find(S);
@@ -436,18 +668,25 @@ SelectionResult selgen::runRuleSelection(const Function &F,
                                          const PreparedLibrary &Library,
                                          RuleCandidateSource &Source,
                                          const std::string &SelectorName,
-                                         SelectionObserver *Observer) {
+                                         SelectionObserver *Observer,
+                                         std::optional<CostKind> Tiling) {
   Timer Clock;
   SelectionResult Result;
   FunctionLowering Lowering(F, SelectorName);
-  SelectionCounters Counters;
+  SelectionRun Run{Library, Source, Tiling, 0, F.width(), {}};
+  if (Tiling && *Tiling != CostKind::Unit)
+    if (const GoalInstruction *MovRi = Library.immediateMoveGoal())
+      Run.ConstCost = deriveRuleCost(*MovRi).get(*Tiling);
+  uint64_t BestCoverCost = 0;
 
   for (const auto &BB : F.blocks()) {
-    BlockSelection Block(Lowering, BB.get());
-    Block.run(Source, Library.immediateMoveGoal(), F.width(), Counters);
+    BlockSelection Block(Lowering, BB.get(), Run);
+    Block.run();
     Result.CoveredOperations += Block.SynthCount;
     Result.FallbackOperations += Block.FallbackCount;
+    BestCoverCost += Block.BestCoverCost;
   }
+  SelectionCounters &Counters = Run.Counters;
   Counters.NodesVisited += Source.takeNodesVisited();
 
   Result.TotalOperations = F.numOperations();
@@ -472,6 +711,10 @@ SelectionResult selgen::runRuleSelection(const Function &F,
             static_cast<int64_t>(Counters.PrecondProved));
   Stats.add("selector.select_us",
             static_cast<int64_t>(Result.SelectionSeconds * 1e6));
+  if (Tiling) {
+    Stats.add("tiling.functions", 1);
+    Stats.add("tiling.best_cover_cost", static_cast<int64_t>(BestCoverCost));
+  }
   SelectionTelemetry Telemetry;
   Telemetry.Function = F.name();
   Telemetry.Selector = SelectorName;

@@ -6,25 +6,38 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The greedy DAG selection engine shared by the linear-scan
-/// GeneratedSelector and the discrimination-tree AutomatonSelector.
-/// Both selectors pick the same rules and emit the same machine code;
-/// they differ only in how candidate rules for a subject node are
-/// discovered, which is abstracted as a RuleCandidateSource. The
-/// engine performs all semantic checks (full structural match,
+/// The greedy DAG selection engine behind every rule-driven selector
+/// (isel/RuleSelector). Following the pattern-matching /
+/// pattern-selection split of DAG covering, selection is configured
+/// along two independent axes:
+///
+///   * discovery — a RuleCandidateSource enumerating, per subject
+///     position, a superset of the matching rules in library priority
+///     order: the paper prototype's linear scan, or one walk of a
+///     discrimination-tree automaton image (in memory or a mapped
+///     .matb);
+///   * policy — first-match (commit to the first candidate that
+///     passes the engine's checks, paper Section 7.3) or tiling under
+///     a cost model (a bottom-up DP over each block orders every
+///     node's candidates by the cheapest cover of its operand cone
+///     before the same first-match commit runs).
+///
+/// The engine performs all semantic checks (full structural match,
 /// shift preconditions, produced-value/overlap analysis) and the
-/// emission, so a candidate source only has to enumerate a superset of
-/// the matching rules in library priority order.
+/// emission, so every discovery emits the same machine code under a
+/// given policy, and unit-cost tiling emits first-match's.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SELGEN_ISEL_SELECTIONENGINE_H
 #define SELGEN_ISEL_SELECTIONENGINE_H
 
+#include "cost/CostModel.h"
 #include "isel/PreparedLibrary.h"
 #include "isel/Selector.h"
 
 #include <functional>
+#include <optional>
 
 namespace selgen {
 
@@ -76,14 +89,29 @@ struct SelectionObserver {
 /// (selector.rules_tried, matcher.nodes_visited,
 /// matcher.precond_proved, selector.select_us plus a per-function
 /// SelectionTelemetry record under \p SelectorName), and returns the
-/// selection result. With \p Observer non-null the counters go into
+/// selection result. With \p Tiling set, each block's candidates are
+/// ordered by the cost-minimal tiling DP under that model before the
+/// first-match commit (tiling.functions and tiling.best_cover_cost
+/// are recorded too). With \p Observer non-null the counters go into
 /// it INSTEAD of the global registry — selection decisions and
 /// machine code are identical either way.
 SelectionResult runRuleSelection(const Function &F,
                                  const PreparedLibrary &Library,
                                  RuleCandidateSource &Source,
                                  const std::string &SelectorName,
-                                 SelectionObserver *Observer = nullptr);
+                                 SelectionObserver *Observer = nullptr,
+                                 std::optional<CostKind> Tiling = std::nullopt);
+
+/// Cost-minimal tiling selection of \p F under \p Kind, as selector
+/// "tiling" (the entry point of callers that manage their own
+/// candidate sources, such as the resident compile server).
+inline SelectionResult runTilingSelection(const Function &F,
+                                          const PreparedLibrary &Library,
+                                          RuleCandidateSource &Source,
+                                          CostKind Kind,
+                                          SelectionObserver *Observer = nullptr) {
+  return runRuleSelection(F, Library, Source, "tiling", Observer, Kind);
+}
 
 /// Toggles the dataflow-based elision of runtime shift-precondition
 /// checks: when the known-bits/range analysis proves every shift

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// The common interface of the instruction selectors: the generated
-/// prototype (isel/GeneratedSelector) driven by a synthesized rule
+/// selector (isel/RuleSelector) driven by a synthesized rule
 /// library, the hand-tuned baseline (isel/HandwrittenSelector), and
 /// the deliberately incomplete reference selectors (refsel). All
 /// lower a mini-Firm Function to a MachineFunction and report the

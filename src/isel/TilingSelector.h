@@ -1,4 +1,4 @@
-//===- TilingSelector.h - Cost-minimal DAG tiling selector -------*- C++ -*-===//
+//===- TilingSelector.h - Cost-minimal DAG tiling ----------------*- C++ -*-===//
 //
 // Part of the selgen project (CGO'18 instruction-selection synthesis
 // reproduction).
@@ -6,153 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Cost-driven instruction selection on top of the shared selection
-/// engine: instead of committing to the first rule that matches (the
-/// library's most-specific-first priority order), a bottom-up dynamic
-/// program computes, for every selectable IR node, the cheapest way to
-/// cover its operand cone under a chosen cost model, and re-orders the
-/// automaton's candidate sets so the engine tries the cheapest legal
-/// tile first. Emission, legality checking, and fallback lowering stay
-/// in the engine — tiling only changes the order candidates are
-/// offered in, so it inherits every correctness property of the
-/// first-match selectors.
-///
-/// Cost accounting (CSE-aware, DAG re-convergence safe):
-///   * A tile rooted at node S costs its rule's RuleCost component
-///     under the active model, plus the cost of producing each distinct
-///     frontier input.
-///   * Inputs defined by block arguments cost nothing; so do inputs
-///     that are *shared* (two or more distinct users, or used by the
-///     terminator): a shared value is produced exactly once no matter
-///     which tile consumes it, so its cone is priced at its own root
-///     and contributes zero at every consumer. This is what makes the
-///     DP a sound approximation on DAGs rather than double-counting
-///     re-converging subtrees.
-///   * A single-use operation input contributes the memoized best cost
-///     of its own cone (computed earlier in the bottom-up pass).
-///   * A constant input bound to an Imm-role argument is encoded into
-///     the instruction and contributes zero; bound to a Reg/Addr role
-///     it contributes the cost of the library's immediate-move rule
-///     (the engine will materialize it with exactly that rule).
-///
-/// The *unit* model is the migration-safety anchor: a tile costs the
-/// number of IR nodes it covers and constant materialization is free,
-/// so every full cover of a cone has the same total (the cone's node
-/// count) and the stable (cost, priority-index) sort degenerates to
-/// the library priority order — byte-identical output to the
-/// first-match selectors, which CI enforces. The latency and size
-/// models use the derived per-rule cost vectors and actually re-order.
+/// Cost-minimal DAG tiling is a policy of the selection engine: see
+/// runTilingSelection in isel/SelectionEngine.h, and RuleSelector
+/// (isel/RuleSelector.h) constructed with a cost model.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SELGEN_ISEL_TILINGSELECTOR_H
 #define SELGEN_ISEL_TILINGSELECTOR_H
 
-#include "cost/CostModel.h"
-#include "isel/AutomatonSelector.h"
-#include "isel/PreparedLibrary.h"
+#include "isel/RuleSelector.h"
 #include "isel/SelectionEngine.h"
-#include "isel/Selector.h"
-
-#include <cstdint>
-#include <map>
-#include <optional>
-#include <utility>
-#include <vector>
-
-namespace selgen {
-
-/// A candidate source that replays DP-computed, cost-sorted candidate
-/// orderings. prepare() runs the bottom-up tiling DP over every block
-/// of one function using \p Inner to enumerate candidates; afterwards
-/// the source serves the recorded orderings without touching the
-/// automaton again. Candidates the DP could not match structurally are
-/// appended after the costed ones in priority order (never dropped —
-/// the engine has the final say on legality, preserving the
-/// RuleCandidateSource contract of only over-approximating).
-class TilingCandidateSource : public RuleCandidateSource {
-public:
-  TilingCandidateSource(const PreparedLibrary &Library,
-                        RuleCandidateSource &Inner, CostKind Kind)
-      : Library(Library), Inner(Inner), Kind(Kind) {}
-
-  /// Runs the tiling DP over \p F and records the candidate orderings.
-  /// Must be called before the engine consumes this source.
-  void prepare(const Function &F);
-
-  void forEachBodyCandidate(
-      const Node *S,
-      const std::function<bool(const PreparedRule &)> &TryRule) override;
-  void forEachJumpCandidate(
-      NodeRef Condition,
-      const std::function<bool(const PreparedRule &)> &TryRule) override;
-  uint64_t takeNodesVisited() override;
-
-  /// Total best-cover cost over all selection roots of the prepared
-  /// function (the DP objective value; tiling.* statistics).
-  uint64_t bestCoverCost() const { return BestCoverCost; }
-
-private:
-  using ValueKey = std::pair<const Node *, unsigned>;
-
-  void prepareBlock(const BasicBlock *BB);
-
-  const PreparedLibrary &Library;
-  RuleCandidateSource &Inner;
-  CostKind Kind;
-  /// Pattern positions the DP's own match walks examined (merged into
-  /// the matcher.nodes_visited telemetry alongside Inner's automaton
-  /// state visits).
-  uint64_t MatchWork = 0;
-  uint64_t BestCoverCost = 0;
-  /// Cost of materializing a constant into a register (the library's
-  /// immediate-move rule under the active model; zero under unit).
-  uint64_t ConstMaterializeCost = 0;
-  bool ConstCostComputed = false;
-  std::map<const Node *, std::vector<uint32_t>> BodyOrder;
-  std::map<ValueKey, std::vector<uint32_t>> JumpOrder;
-};
-
-/// Runs cost-minimal tiling selection of \p F: tiling DP pre-pass over
-/// \p Inner's candidate sets, then the shared engine under selector
-/// name "tiling". This is the entry point for callers that manage
-/// their own candidate sources (the resident compile server builds one
-/// per request thread).
-SelectionResult runTilingSelection(const Function &F,
-                                   const PreparedLibrary &Library,
-                                   RuleCandidateSource &Inner, CostKind Kind,
-                                   SelectionObserver *Observer = nullptr);
-
-/// Instruction selector performing cost-minimal DAG tiling over
-/// automaton-discovered candidate sets. Mirrors AutomatonSelector's
-/// two construction paths (in-memory build, borrowed image).
-class TilingSelector : public InstructionSelector {
-public:
-  /// Compiles the automaton in memory from \p Database.
-  TilingSelector(const PatternDatabase &Database, const GoalLibrary &Goals,
-                 CostKind Kind);
-
-  /// Adopts an already-prepared library and borrows \p Image (e.g. a
-  /// mapped .matb file), which must outlive the selector. Aborts if
-  /// the image is stale — callers wanting a graceful error should
-  /// check automatonStalenessError() first.
-  TilingSelector(PreparedLibrary &&Library, const BinaryAutomatonView &Image,
-                 CostKind Kind);
-
-  std::string name() const override { return "tiling"; }
-  SelectionResult select(const Function &F) override;
-
-  CostKind costKind() const { return Kind; }
-  const PreparedLibrary &library() const { return Library; }
-
-private:
-  PreparedLibrary Library;
-  /// Owns the image of an in-memory build; empty when borrowing.
-  std::optional<MatcherAutomaton> Built;
-  BinaryAutomatonView View;
-  CostKind Kind;
-};
-
-} // namespace selgen
 
 #endif // SELGEN_ISEL_TILINGSELECTOR_H

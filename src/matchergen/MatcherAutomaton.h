@@ -44,7 +44,7 @@
 /// the same bytes, as a .matb file written by writeBinaryFile and
 /// mapped back with mapBinary. The image carries the rule library's
 /// fingerprint and per-rule cost table, so a stale image is refused
-/// (automatonStalenessError in isel/AutomatonSelector.h) rather than
+/// (automatonStalenessError in isel/RuleSelector.h) rather than
 /// silently desynchronized from the library it indexes.
 ///
 //===----------------------------------------------------------------------===//

@@ -7,7 +7,7 @@
 
 #include "serve/ImageReloader.h"
 
-#include "isel/AutomatonSelector.h"
+#include "isel/RuleSelector.h"
 #include "matchergen/MatcherAutomaton.h"
 #include "serve/SelectionService.h"
 

@@ -8,7 +8,6 @@
 #include "serve/SelectionService.h"
 
 #include "eval/Workloads.h"
-#include "isel/TilingSelector.h"
 #include "x86/MachineIR.h"
 
 #include <chrono>

@@ -263,8 +263,7 @@ TEST_F(AutomatonSelectorTest, SerializedAutomatonProducesIdenticalOutput) {
   std::unique_ptr<MappedAutomaton> Loaded =
       MatcherAutomaton::mapBinary(Path, &Error);
   ASSERT_TRUE(Loaded) << Error;
-  AutomatonSelector FromFile(PreparedLibrary(GnuRules, Goals),
-                             Loaded->view());
+  RuleSelector FromFile(PreparedLibrary(GnuRules, Goals), Loaded->view());
 
   Rng Random(11);
   for (int Trial = 0; Trial < 10; ++Trial) {
@@ -428,7 +427,7 @@ TEST_F(AutomatonSelectorTest, MappedImageByteIdenticalOnPatternTestFunctions) {
     ASSERT_TRUE(Mapped) << Error;
 
     AutomatonSelector InMemory(*Db, Goals);
-    AutomatonSelector FromImage(PreparedLibrary(*Db, Goals), Mapped->view());
+    RuleSelector FromImage(PreparedLibrary(*Db, Goals), Mapped->view());
     EXPECT_EQ(FromImage.numRules(), InMemory.numRules());
     unsigned Index = 0;
     for (const Rule &R : Db->rules()) {
@@ -456,8 +455,7 @@ TEST_F(AutomatonSelectorTest, MappedImageByteIdenticalOnWorkloads) {
   std::unique_ptr<MappedAutomaton> Mapped =
       MatcherAutomaton::mapBinary(Path, &Error);
   ASSERT_TRUE(Mapped) << Error;
-  AutomatonSelector FromImage(PreparedLibrary(GnuRules, Goals),
-                              Mapped->view());
+  RuleSelector FromImage(PreparedLibrary(GnuRules, Goals), Mapped->view());
   for (const WorkloadProfile &Profile : cint2000Profiles()) {
     Function F = buildWorkload(Profile, W);
     SelectionResult FromMemory = Automaton.select(F);

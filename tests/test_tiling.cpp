@@ -22,10 +22,10 @@
 #include "eval/Workloads.h"
 #include "ir/Normalizer.h"
 #include "isel/AutomatonSelector.h"
-#include "isel/TilingSelector.h"
 #include "matchergen/BinaryAutomaton.h"
 #include "refsel/ReferenceSelectors.h"
 #include "support/AtomicFile.h"
+#include "support/Statistics.h"
 #include "testgen/TestCaseGenerator.h"
 #include "x86/MachineIR.h"
 
@@ -73,7 +73,7 @@ Function singleBlock(const std::function<NodeRef(Graph &)> &Build) {
 TEST_F(TilingTest, UnitCostReproducesFirstMatchOnWorkloads) {
   for (const PatternDatabase *Db : {&GnuRules, &ClangRules}) {
     AutomatonSelector Auto(*Db, Goals);
-    TilingSelector Unit(*Db, Goals, CostKind::Unit);
+    RuleSelector Unit(*Db, Goals, RuleDiscovery::Image, CostKind::Unit);
     for (const WorkloadProfile &Profile : cint2000Profiles()) {
       Function F = buildWorkload(Profile, W);
       SelectionResult A = Auto.select(F);
@@ -91,7 +91,7 @@ TEST_F(TilingTest, UnitCostReproducesFirstMatchOnPatternTestFunctions) {
   // patterns, immediate forms, memory rules, compare-and-jump rules.
   for (const PatternDatabase *Db : {&GnuRules, &ClangRules}) {
     AutomatonSelector Auto(*Db, Goals);
-    TilingSelector Unit(*Db, Goals, CostKind::Unit);
+    RuleSelector Unit(*Db, Goals, RuleDiscovery::Image, CostKind::Unit);
     unsigned Index = 0;
     for (const Rule &R : Db->rules()) {
       Function F =
@@ -119,8 +119,8 @@ TEST_F(TilingTest, StaticCostNeverWorseOnWorkloads) {
   // validity only.)
   for (const PatternDatabase *Db : {&GnuRules, &ClangRules}) {
     AutomatonSelector Auto(*Db, Goals);
-    TilingSelector Latency(*Db, Goals, CostKind::Latency);
-    TilingSelector Size(*Db, Goals, CostKind::Size);
+    RuleSelector Latency(*Db, Goals, RuleDiscovery::Image, CostKind::Latency);
+    RuleSelector Size(*Db, Goals, RuleDiscovery::Image, CostKind::Size);
     for (const WorkloadProfile &Profile : cint2000Profiles()) {
       Function F = buildWorkload(Profile, W);
       SelectionResult A = Auto.select(F);
@@ -163,8 +163,8 @@ TEST_F(TilingTest, CostModelPicksCheaperSamePatternRule) {
   });
 
   AutomatonSelector Auto(Db, Goals);
-  TilingSelector Unit(Db, Goals, CostKind::Unit);
-  TilingSelector Latency(Db, Goals, CostKind::Latency);
+  RuleSelector Unit(Db, Goals, RuleDiscovery::Image, CostKind::Unit);
+  RuleSelector Latency(Db, Goals, RuleDiscovery::Image, CostKind::Latency);
 
   SelectionResult A = Auto.select(F);
   SelectionResult U = Unit.select(F);
@@ -191,16 +191,12 @@ TEST_F(TilingTest, DagReconvergencePricedOnce) {
     return G.createBinary(Opcode::And, U, V);
   });
 
-  PreparedLibrary Library(GnuRules, Goals);
-  MatcherAutomaton Automaton = buildMatcherAutomaton(Library);
-  AutomatonCandidateSource Inner(Library, Automaton.view());
-  TilingCandidateSource Source(Library, Inner, CostKind::Unit);
-  Source.prepare(F);
-  EXPECT_EQ(Source.bestCoverCost(), 4u);
+  Statistics::get().clear();
+  RuleSelector Unit(GnuRules, Goals, RuleDiscovery::Image, CostKind::Unit);
+  SelectionResult R = Unit.select(F);
+  EXPECT_EQ(Statistics::get().value("tiling.best_cover_cost"), 4);
 
   // The emitted cover agrees: four instructions, the add emitted once.
-  TilingSelector Unit(GnuRules, Goals, CostKind::Unit);
-  SelectionResult R = Unit.select(F);
   ASSERT_TRUE(R.MF);
   EXPECT_EQ(R.MF->numInstructions(), 4u);
 }
@@ -311,8 +307,8 @@ TEST_F(TilingTest, ShippedLibraryLatencyTilingStrictlyCheaper) {
   ASSERT_TRUE(Error.empty()) << Error;
 
   AutomatonSelector Auto(Db, Goals);
-  TilingSelector Unit(Db, Goals, CostKind::Unit);
-  TilingSelector Latency(Db, Goals, CostKind::Latency);
+  RuleSelector Unit(Db, Goals, RuleDiscovery::Image, CostKind::Unit);
+  RuleSelector Latency(Db, Goals, RuleDiscovery::Image, CostKind::Latency);
   uint64_t AutoTotal = 0, TilingTotal = 0;
   for (const WorkloadProfile &Profile : cint2000Profiles()) {
     Function F = buildWorkload(Profile, W);

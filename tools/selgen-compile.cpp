@@ -33,10 +33,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "eval/Workloads.h"
-#include "isel/AutomatonSelector.h"
-#include "isel/GeneratedSelector.h"
 #include "isel/HandwrittenSelector.h"
-#include "isel/TilingSelector.h"
+#include "isel/RuleSelector.h"
 #include "support/CommandLine.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
@@ -58,6 +56,21 @@ struct RunOutcome {
   bool Mismatch = false;
 };
 
+/// True if \p A and \p B hold the same byte at every address (a byte
+/// never written reads as zero).
+bool sameMemoryContents(const MemoryState &A, const MemoryState &B) {
+  for (const auto &[Address, Value] : A.bytes())
+    if (B.peekByte(Address) != Value)
+      return false;
+  for (const auto &[Address, Value] : B.bytes())
+    if (A.peekByte(Address) != Value)
+      return false;
+  return true;
+}
+
+/// Runs \p MF on the emulator against the IR interpreter's run of \p F
+/// on random inputs. A mismatch is a differing return value or final
+/// memory, or either side hitting its step limit.
 RunOutcome runSelected(const Function &F, const MachineFunction &MF,
                        unsigned Width, unsigned Runs) {
   RunOutcome Outcome;
@@ -78,9 +91,11 @@ RunOutcome runSelected(const Function &F, const MachineFunction &MF,
     MachineRunResult Machine =
         runMachineFunction(MF, Regs, Memory, 1u << 24);
     Outcome.Cycles += Machine.Cycles;
-    if (Reference.ReturnValues.empty() ||
-        Machine.ReturnValues.size() != 1 ||
-        Machine.ReturnValues[0] != Reference.ReturnValues[0])
+    if (Reference.StepLimitHit || Machine.StepLimitHit ||
+        Reference.ReturnValues.empty() || Machine.ReturnValues.size() != 1 ||
+        Machine.ReturnValues[0] != Reference.ReturnValues[0] ||
+        !Reference.FinalMemory ||
+        !sameMemoryContents(*Reference.FinalMemory, Machine.Memory))
       Outcome.Mismatch = true;
   }
   return Outcome;
@@ -140,12 +155,16 @@ int main(int argc, char **argv) {
   GoalLibrary Goals = GoalLibrary::build(Width, GoalLibrary::allGroups());
 
   HandwrittenSelector Handwritten;
-  std::unique_ptr<InstructionSelector> RuleDriven;
+  std::unique_ptr<RuleSelector> RuleDriven;
   // Keeps a mapped binary image alive for the selector borrowing it.
   std::unique_ptr<MappedAutomaton> Mapped;
-  size_t UsableRules = 0;
-  const bool Tiling = SelectorName == "tiling";
-  if (SelectorName == "auto" || Tiling) {
+  if (SelectorName != "handwritten") {
+    std::optional<CostKind> Tiling =
+        SelectorName == "tiling" ? CostModel : std::nullopt;
+    // The library the selector adopts: an image is checked against it
+    // before selection, and the selector reuses that preparation
+    // instead of re-preparing (re-sorting) the rules.
+    std::optional<PreparedLibrary> Prepared;
     if (!AutomatonPath.empty()) {
       // Binary image: mmap, validate, and match off the mapped bytes.
       std::string LoadError;
@@ -154,50 +173,39 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "error: %s\n", LoadError.c_str());
         return 1;
       }
-      PreparedLibrary Prepared(Database, Goals);
-      std::string Stale =
-          automatonStalenessError(Mapped->view(), Prepared);
+      Prepared.emplace(Database, Goals);
+      std::string Stale = automatonStalenessError(Mapped->view(), *Prepared);
       if (!Stale.empty()) {
         std::fprintf(stderr, "error: %s\n", Stale.c_str());
         return 1;
       }
-      // The staleness check above already prepared the library; hand
-      // it to the selector instead of re-preparing (re-sorting) it.
       Statistics::get().add("selector.prepare_skipped", 1);
-      UsableRules = Prepared.rules().size();
+    }
+    RuleDriven =
+        Mapped ? std::make_unique<RuleSelector>(std::move(*Prepared),
+                                                Mapped->view(), Tiling)
+               : std::make_unique<RuleSelector>(
+                     Database, Goals,
+                     SelectorName == "linear" ? RuleDiscovery::Linear
+                                              : RuleDiscovery::Image,
+                     Tiling);
+    if (Mapped)
       std::printf("automaton: %zu states, %llu transitions (mapped from "
                   "%s)\n",
                   Mapped->view().numStates(),
                   static_cast<unsigned long long>(
                       Mapped->view().numTransitions()),
                   AutomatonPath.c_str());
-      if (Tiling)
-        RuleDriven = std::make_unique<TilingSelector>(
-            std::move(Prepared), Mapped->view(), *CostModel);
-      else
-        RuleDriven = std::make_unique<AutomatonSelector>(std::move(Prepared),
-                                                         Mapped->view());
-    } else if (Tiling) {
-      auto Tiled =
-          std::make_unique<TilingSelector>(Database, Goals, *CostModel);
-      UsableRules = Tiled->library().rules().size();
+    else if (Tiling)
       std::printf("tiling: cost model %s over %zu rules\n",
-                  costKindName(*CostModel), UsableRules);
-      RuleDriven = std::move(Tiled);
-    } else {
-      auto Auto = std::make_unique<AutomatonSelector>(Database, Goals);
-      UsableRules = Auto->numRules();
+                  costKindName(*Tiling), RuleDriven->numRules());
+    else if (SelectorName == "auto")
       std::printf("automaton: %zu states, %llu transitions\n",
-                  Auto->automaton().numStates(),
+                  RuleDriven->automaton().numStates(),
                   static_cast<unsigned long long>(
-                      Auto->automaton().numTransitions()));
-      RuleDriven = std::move(Auto);
-    }
-  } else if (SelectorName == "linear") {
-    auto Linear = std::make_unique<GeneratedSelector>(Database, Goals);
-    UsableRules = Linear->numRules();
-    RuleDriven = std::move(Linear);
+                      RuleDriven->automaton().numTransitions()));
   }
+  const size_t UsableRules = RuleDriven ? RuleDriven->numRules() : 0;
   std::printf("library %s: %zu rules (%zu usable)\n", LibraryPath.c_str(),
               Database.size(), UsableRules);
 

@@ -5,9 +5,9 @@
 //
 // The offline matcher-automaton compiler: load a synthesized rule
 // library, compile its patterns into the discrimination tree the
-// AutomatonSelector traverses, and write it as the mmap-able binary
-// image (.matb) that selgen-compile --automaton and selgen-served
-// load with O(1) startup. The image is byte for byte what an
+// rule selector's automaton discovery walks, and write it as the
+// mmap-able binary image (.matb) that selgen-compile --automaton and
+// selgen-served load with O(1) startup. The image is byte for byte what an
 // in-memory build walks. It records the library fingerprint and cost
 // table, so loading it against a changed library fails loudly instead
 // of selecting with stale rules.
@@ -20,7 +20,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "isel/AutomatonSelector.h"
+#include "isel/RuleSelector.h"
 #include "support/CommandLine.h"
 #include "support/Statistics.h"
 

@@ -41,7 +41,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "isel/AutomatonSelector.h"
+#include "isel/RuleSelector.h"
 #include "serve/ImageReloader.h"
 #include "serve/SelectionServer.h"
 #include "support/CommandLine.h"
